@@ -60,6 +60,7 @@ from .morse import (
     pipeline,
     removal_phases,
     saturation_matching,
+    shortcut_collapses,
 )
 from .approx import (
     ApproxMap,

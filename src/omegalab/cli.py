@@ -1,46 +1,37 @@
 """Command-line front end.
 
 Exit codes: 0 pass, 1 fail (including "no homomorphism"), 2 resource-incomplete,
-64 usage error.  ``OMEGALAB_THREADS`` caps internal parallelism; all current
-kernels are sequential, so any positive cap is honored trivially.
+64 usage error.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
+from fractions import Fraction
 
 import click
 
-from .approx import (
-    build_approx_map,
-    carrier_check,
-    diameter_bound,
-    max_facet_diameter_sq,
-    simplex_image_diameter_sq,
-)
+from .approx import build_approx_map, carrier_check, diameter_bound, simplex_image_diameter_sq
 from .bitset import bits
-from .boxcomplex import build_box, format_complex, parse_complex
+from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, build_box, format_complex, parse_complex
 from .errors import OmegalabError, ParseError, ResourceError
-from .functors import omega, omega_prime, subdivide, walk_power
+from .functors import DEFAULT_VERTEX_BUDGET, omega, omega_prime, subdivide, walk_power
 from .graphs import Graph, format_graph, max_degree, parse_graph
 from .homology import betti_mod2, euler_characteristic
-from .homsearch import HomSearchConfig, chromatic_number, format_witness, hom_exists
-from .morse import ShortcutComplex, collapse, is_acyclic, removal_phases, saturation_matching
+from .homsearch import (
+    DEFAULT_NODE_BUDGET,
+    HomSearchConfig,
+    chromatic_number,
+    format_witness,
+    hom_exists,
+)
+from .morse import ShortcutComplex, shortcut_collapses
 from .verify import SUITES, Budgets, canonical_json, exit_code, run_suite
 
 USAGE_EXIT = 64
 RESOURCE_EXIT = 2
 FAIL_EXIT = 1
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("OMEGALAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _read_graph(path: str) -> Graph:
@@ -78,7 +69,7 @@ def functor(kind, index, infile, outfile):
 @click.option("-g", "gpath", required=True, type=click.Path(exists=True))
 @click.option("-h", "hpath", required=True, type=click.Path(exists=True))
 @click.option("--witness", type=click.Path(), default=None)
-@click.option("--node-budget", type=int, default=10_000_000)
+@click.option("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
 def hom(gpath, hpath, witness, node_budget):
     """Decide homomorphism existence; exit 0 iff one exists."""
     g = _read_graph(gpath)
@@ -95,7 +86,7 @@ def hom(gpath, hpath, witness, node_budget):
 
 @cli.command()
 @click.option("-i", "infile", required=True, type=click.Path(exists=True))
-@click.option("--node-budget", type=int, default=10_000_000)
+@click.option("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
 def chromatic(infile, node_budget):
     """Chromatic number of a loopless graph."""
     g = _read_graph(infile)
@@ -119,7 +110,7 @@ def box(infile, outfile):
 
 @cli.command()
 @click.option("-i", "infile", required=True, type=click.Path(exists=True))
-@click.option("--simplex-budget", type=int, default=10**7)
+@click.option("--simplex-budget", type=int, default=DEFAULT_SIMPLEX_BUDGET)
 def homology(infile, simplex_budget):
     """Mod-2 Betti numbers and Euler characteristic of a complex file."""
     with open(infile, encoding="utf-8") as fh:
@@ -135,29 +126,26 @@ def homology(infile, simplex_budget):
 @click.option("-i", "infile", required=True, type=click.Path(exists=True))
 @click.option("-k", "half", type=int, required=True, help="half index; functor index is 2k+1")
 @click.option("--certificate", type=click.Path(), default=None)
-@click.option("--vertex-budget", type=int, default=10**6)
-@click.option("--simplex-budget", type=int, default=10**7)
+@click.option("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+@click.option("--simplex-budget", type=int, default=DEFAULT_SIMPLEX_BUDGET)
 def morse(which, infile, half, certificate, vertex_budget, simplex_budget):
-    """Run the collapse matchings on the shortcut complex and certify them."""
+    """Run both collapse recipes on the shortcut complex and certify them.
+
+    --lemma only selects which lines and certificate steps are written."""
     g = _read_graph(infile)
     sc = ShortcutComplex(g, half, vertex_budget, simplex_budget)
-    steps = []
+    saturation, phases = shortcut_collapses(sc)
+    shown = []
     if which in ("52", "both"):
-        matching, sub = saturation_matching(sc)
-        acyclic = is_acyclic(matching)
-        click.echo(f"saturation matching: {len(matching.pairs)} pairs, acyclic: {acyclic}")
-        cert = collapse(sc.box, set(sc.simplices), sub, matching)
-        click.echo(f"saturation collapse: {len(cert.steps)} steps")
-        steps.extend(cert.steps)
+        shown.append(("saturation matching", "saturation collapse", saturation))
     if which in ("54", "both"):
-        current = set(sc.simplices)
-        for idx, (matching, domain) in enumerate(removal_phases(sc), start=1):
-            acyclic = is_acyclic(matching)
-            click.echo(f"phase {idx}: {len(matching.pairs)} pairs, acyclic: {acyclic}")
-            cert = collapse(sc.box, current, current - domain, matching)
-            click.echo(f"phase {idx} collapse: {len(cert.steps)} steps")
-            steps.extend(cert.steps)
-            current -= domain
+        shown += [(f"phase {i}", f"phase {i} collapse", p) for i, p in enumerate(phases, start=1)]
+    steps = []
+    for matching_label, collapse_label, (matching, cert) in shown:
+        # collapse() refuses a cyclic matching, so every shown matching is acyclic
+        click.echo(f"{matching_label}: {len(matching.pairs)} pairs, acyclic: True")
+        click.echo(f"{collapse_label}: {len(cert.steps)} steps")
+        steps.extend(cert.steps)
     if certificate:
         with open(certificate, "w", encoding="utf-8") as fh:
             for face, cofacet in steps:
@@ -179,15 +167,12 @@ def approx(infile, half, report_path):
     g = _read_graph(infile)
     amap = build_approx_map(g, half)
     bound = diameter_bound(g, half)
-    facets = []
-    worst = max_facet_diameter_sq(amap)
-    for f in amap.source.facets:
-        facets.append(
-            {
-                "facet": [t for t in bits(f)],
-                "diameter_sq": str(simplex_image_diameter_sq(amap, f)),
-            }
-        )
+    diameters = [simplex_image_diameter_sq(amap, f) for f in amap.source.facets]
+    worst = max(diameters, default=Fraction(0))
+    facets = [
+        {"facet": list(bits(f)), "diameter_sq": str(d)}
+        for f, d in zip(amap.source.facets, diameters)
+    ]
     ok_bound = worst < bound * bound
     ok_carrier = carrier_check(amap)
     payload = {
@@ -214,9 +199,9 @@ def approx(infile, half, report_path):
 
 @cli.command()
 @click.argument("suite", type=click.Choice(list(SUITES) + ["all"]))
-@click.option("--vertex-budget", type=int, default=10**6)
-@click.option("--simplex-budget", type=int, default=10**7)
-@click.option("--node-budget", type=int, default=10_000_000)
+@click.option("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+@click.option("--simplex-budget", type=int, default=DEFAULT_SIMPLEX_BUDGET)
+@click.option("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
 @click.option("-o", "outfile", type=click.Path(), default=None)
 def verify(suite, vertex_budget, simplex_budget, node_budget, outfile):
     """Run a verification suite; exit 0 iff all checks pass."""
@@ -287,7 +272,6 @@ def show(infile):
 
 
 def main(argv=None):
-    thread_cap()  # parsed for side effect: an invalid value falls back to 1
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:

@@ -10,9 +10,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .bitset import bits
+from .boxcomplex import DEFAULT_SIMPLEX_BUDGET
 from .errors import ResourceError
-
-DEFAULT_SIMPLEX_BUDGET = 10**7
 
 
 def _by_dimension(simplices: Iterable[int]) -> list[list[int]]:

@@ -16,20 +16,16 @@ from .errors import ParameterError, PreconditionError, ResourceError
 from .functors import Homomorphism
 from .graphs import Graph, clique
 
+DEFAULT_NODE_BUDGET = 10_000_000
+
 
 @dataclass(frozen=True)
 class HomSearchConfig:
-    node_budget: int = 10_000_000
-    variable_order: str = "degree_desc"  # or "input"
-    propagation: str = "arc_consistency"  # or "forward_check"
+    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         if self.node_budget <= 0:
             raise ParameterError("node budget must be positive")
-        if self.variable_order not in ("degree_desc", "input"):
-            raise ParameterError(f"unknown variable order {self.variable_order!r}")
-        if self.propagation not in ("arc_consistency", "forward_check"):
-            raise ParameterError(f"unknown propagation mode {self.propagation!r}")
 
 
 DEFAULT_CONFIG = HomSearchConfig()
@@ -56,15 +52,11 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
             if dom[v] == 0:
                 return None
 
-    if cfg.variable_order == "degree_desc":
-        order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    else:
-        order = list(range(n))
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
 
     nbrs = [[u for u in bits(g.adj[v]) if u != v] for v in range(n)]
     adj_h = h.adj
     nodes = 0
-    arc_consistent = cfg.propagation == "arc_consistency"
 
     def revise(u: int, w: int) -> bool:
         """Drop values of u without a supporting neighbor value at w."""
@@ -87,8 +79,7 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
             if revise(u, w):
                 if dom[u] == 0:
                     return False
-                if arc_consistent:
-                    queue.extend((x, u) for x in nbrs[u] if x != w)
+                queue.extend((x, u) for x in nbrs[u] if x != w)
         return True
 
     def search(pos: int):

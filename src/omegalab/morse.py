@@ -5,7 +5,8 @@ two-shore complex.  The specific matchings are the two collapse recipes for
 the shortcut complex of the right-adjoint graph: ``saturation_matching``
 retracts it onto the saturated-image subcomplex, and ``removal_phases``
 peels the added simplices in three phases until exactly the unmodified
-box complex remains.  Both parameterize by the half index k, acting on
+box complex remains.  ``shortcut_collapses`` runs both, and ``pipeline``
+and the CLI share it.  Both parameterize by the half index k, acting on
 the functor of odd index 2k+1.
 
 Every construction is self-checking: matchings verify that they are
@@ -20,9 +21,15 @@ import heapq
 from dataclasses import dataclass
 
 from .bitset import bits
-from .boxcomplex import Z2Complex, build_box
+from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, Z2Complex, build_box
 from .errors import ContractError, ParameterError
-from .functors import FunctorResult, omega, omega_prime, saturation_indices
+from .functors import (
+    DEFAULT_VERTEX_BUDGET,
+    FunctorResult,
+    omega,
+    omega_prime,
+    saturation_indices,
+)
 from .graphs import Graph, common_neighborhood
 from .homology import betti_mod2
 
@@ -58,8 +65,9 @@ class CollapseCertificate:
     remaining: frozenset[int]
 
 
-def _check_matching(simplices: set[int], sub: set[int], matching: MorseMatching) -> None:
-    partner = matching.partner()
+def _check_matching(
+    simplices: set[int], sub: set[int], matching: MorseMatching, partner: dict[int, int]
+) -> None:
     for a, b in matching.pairs:
         if a.bit_count() + 1 != b.bit_count() or a & ~b:
             raise ContractError("matching pair is not a face/cofacet pair")
@@ -78,10 +86,10 @@ def is_acyclic(matching: MorseMatching) -> bool:
     different matched face of the same size; a cycle among those steps is
     exactly the forbidden pattern.
     """
-    partner = matching.partner()
-    lowers = [a for a, b in matching.pairs]
-    lower_set = set(lowers)
+    return _is_acyclic(matching.partner(), {a for a, _ in matching.pairs})
 
+
+def _is_acyclic(partner: dict[int, int], lower_set: set[int]) -> bool:
     def downsteps(low: int):
         up = partner[low]
         m = up
@@ -93,8 +101,8 @@ def is_acyclic(matching: MorseMatching) -> bool:
                 yield nxt
 
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(lowers, WHITE)
-    for root in lowers:
+    color = dict.fromkeys(lower_set, WHITE)
+    for root in lower_set:
         if color[root] != WHITE:
             continue
         stack = [(root, downsteps(root))]
@@ -129,12 +137,12 @@ def collapse(
     containing its face in the current complex; the mirror pair is removed
     in the same step.  Ends exactly at ``sub`` or raises.
     """
-    _check_matching(simplices, sub, matching)
-    if not is_acyclic(matching):
+    partner = matching.partner()
+    _check_matching(simplices, sub, matching, partner)
+    lower_set = {a for a, _ in matching.pairs}
+    if not _is_acyclic(partner, lower_set):
         raise ContractError("matching has a directed cycle; collapse refused")
 
-    partner = matching.partner()
-    lower_set = {a for a, _ in matching.pairs}
     alive = set(simplices)
 
     counts: dict[int, int] = dict.fromkeys(lower_set, 0)
@@ -191,19 +199,24 @@ class ShortcutComplex:
     the box complex of the extension, and the per-position data the matchings
     consume (tail masks, saturation flags, pairwise join tables)."""
 
-    def __init__(self, g: Graph, k: int, vertex_budget=None, simplex_budget=None):
+    def __init__(
+        self,
+        g: Graph,
+        k: int,
+        vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+        simplex_budget: int = DEFAULT_SIMPLEX_BUDGET,
+    ):
         if k < 1:
             raise ParameterError("half index must be >= 1")
         if g.has_loops():
             raise ParameterError("shortcut collapses need a loopless base graph")
         self.g = g
         self.k = k
-        kw = {} if vertex_budget is None else {"vertex_budget": vertex_budget}
-        self.omega: FunctorResult = omega(g, 2 * k + 1, **kw)
-        self.prime: FunctorResult = omega_prime(g, 2 * k + 1, **kw)
+        self.omega: FunctorResult = omega(g, 2 * k + 1, vertex_budget)
+        self.prime: FunctorResult = omega_prime(g, 2 * k + 1, vertex_budget)
         self.box: Z2Complex = build_box(self.prime.graph)
-        bkw = {} if simplex_budget is None else {"budget": simplex_budget}
-        self.simplices: set[int] = self.box.simplices(**bkw)
+        self.simplices: set[int] = self.box.simplices(simplex_budget)
+        self._plain: frozenset[int] | None = None
 
         base = self.box.base  # positions -> vertex ids of the adjoint graph
         self.h = self.box.h
@@ -269,8 +282,11 @@ class ShortcutComplex:
             cn_hi &= self.omega_adj_pos[q]
         return cn_hi != 0
 
-    def plain_box_simplices(self) -> set[int]:
-        return {s for s in self.simplices if self.in_plain_box(s)}
+    def plain_box_simplices(self) -> frozenset[int]:
+        """The simplices of the unmodified box complex; decided once, then cached."""
+        if self._plain is None:
+            self._plain = frozenset(s for s in self.simplices if self.in_plain_box(s))
+        return self._plain
 
     def saturated_subcomplex(self) -> set[int]:
         keep = self.saturated_pos | self.saturated_pos << self.h
@@ -308,25 +324,6 @@ class ShortcutComplex:
                 return p, q, 0 if lo >> p & 1 else 1
         return None
 
-    def classify_offending(self):
-        """Partition of the simplices outside the unmodified box complex:
-        returns (cross_shore, same_shore) sets; both flags can hold at once.
-        Raises if some outside simplex matches neither pattern."""
-        cross: set[int] = set()
-        same: set[int] = set()
-        for s in self.simplices:
-            if self.in_plain_box(s):
-                continue
-            c = self.cross_shore_offense(s) is not None
-            t = self.same_shore_offense(s, require_unsaturated=False) is not None
-            if not c and not t:
-                raise ContractError(f"unclassified extra simplex {s:#x}")
-            if c:
-                cross.add(s)
-            if t:
-                same.add(s)
-        return cross, same
-
 
 def saturation_matching(sc: ShortcutComplex) -> tuple[MorseMatching, set[int]]:
     """Match every simplex containing an unsaturated vertex with its toggle
@@ -334,22 +331,15 @@ def saturation_matching(sc: ShortcutComplex) -> tuple[MorseMatching, set[int]]:
     and the protected subcomplex (simplices purely on saturated vertices)."""
     sub = sc.saturated_subcomplex()
     unsat = ~sc.saturated_pos & sc.full_pos
-    pairs = []
-    for s in sorted(sc.simplices - sub):
+    toggle = {}
+    for s in sc.simplices - sub:
         lo, hi = sc.split(s)
         union = (lo | hi) & unsat
         # least unsaturated vertex over both shores, in canonical order
         p = (union & -union).bit_length() - 1
         shore_shift = 0 if lo >> p & 1 else sc.h
-        toggle = 1 << (sc.sat_token[p] + shore_shift)
-        other = s ^ toggle
-        if other not in sc.simplices:
-            raise ContractError("saturation toggle left the complex")
-        if s < other:
-            pairs.append((s, other) if s.bit_count() < other.bit_count() else (other, s))
-    matching = MorseMatching(tuple(pairs))
-    _verify_involution(sc, matching, sc.simplices - sub)
-    return matching, sub
+        toggle[s] = s ^ (1 << (sc.sat_token[p] + shore_shift))
+    return _toggle_matching(sc, toggle), sub
 
 
 def removal_phases(sc: ShortcutComplex):
@@ -363,76 +353,46 @@ def removal_phases(sc: ShortcutComplex):
     partition the simplices outside the unmodified box complex.
     """
     plain = sc.plain_box_simplices()
-    d1: set[int] = set()
-    d2: set[int] = set()
-    d3: set[int] = set()
+    toggles: tuple[dict[int, int], ...] = ({}, {}, {})  # per phase: simplex -> partner
     for s in sc.simplices:
         if s in plain:
             continue
-        if sc.same_shore_offense(s, require_unsaturated=True) is not None:
-            d1.add(s)
-        elif sc.same_shore_offense(s, require_unsaturated=False) is not None:
-            d2.add(s)
+        if (offense := sc.same_shore_offense(s, require_unsaturated=True)) is not None:
+            phase, new_tail = 0, _capped_tail
+        elif (offense := sc.same_shore_offense(s, require_unsaturated=False)) is not None:
+            phase, new_tail = 1, _capped_tail
+        elif (offense := sc.cross_shore_offense(s)) is not None:
+            phase, new_tail = 2, _pooled_tail
         else:
-            if sc.cross_shore_offense(s) is None:
-                raise ContractError(f"extra simplex {s:#x} matches no phase")
-            d3.add(s)
-
-    phases = []
-    for domain, chooser, builder in (
-        (d1, lambda s: sc.same_shore_offense(s, True), _build_capped),
-        (d2, lambda s: sc.same_shore_offense(s, False), _build_capped),
-        (d3, sc.cross_shore_offense, _build_pooled),
-    ):
-        pairs = []
-        for s in sorted(domain):
-            choice = chooser(s)
-            if choice is None:
-                raise ContractError("phase domain disagrees with its chooser")
-            other = builder(sc, s, choice)
-            if other not in domain:
-                raise ContractError("matching left its phase domain")
-            if s < other:
-                pairs.append(
-                    (s, other) if s.bit_count() < other.bit_count() else (other, s)
-                )
-        matching = MorseMatching(tuple(pairs))
-        _verify_involution(sc, matching, domain)
-        phases.append((matching, domain))
-    return phases
+            raise ContractError(f"extra simplex {s:#x} matches no phase")
+        p, _q, shore = offense
+        lo, hi = sc.split(s)
+        mine, other = (lo, hi) if shore == 0 else (hi, lo)
+        toggles[phase][s] = _toggle(sc, s, p, shore, new_tail(sc, mine, other))
+    return [(_toggle_matching(sc, toggle), set(toggle)) for toggle in toggles]
 
 
-def _build_capped(sc: ShortcutComplex, s: int, choice) -> int:
-    """Toggle by the tuple whose tail is the common neighborhood of the pooled
-    shore sets (phases 1 and 2)."""
-    p, _q, shore = choice
-    lo, hi = sc.split(s)
-    mine, other = (lo, hi) if shore == 0 else (hi, lo)
+def _capped_tail(sc: ShortcutComplex, mine: int, other: int) -> int:
+    """Common neighborhood of the pooled shore sets (phases 1 and 2)."""
     pooled = 0
     for r in bits(mine):
         pooled |= sc.subtail[r]
     for r in bits(other & ~sc.saturated_pos):
         pooled |= sc.tail[r]
-    prefix = sc.omega.tuples[sc.box.base[p]][:-1]
-    star = prefix + (common_neighborhood(sc.g, pooled),)
-    return _toggle(sc, s, star, shore)
+    return common_neighborhood(sc.g, pooled)
 
 
-def _build_pooled(sc: ShortcutComplex, s: int, choice) -> int:
-    """Toggle by the tuple whose tail is the union of the other shore's
-    subtails (phase 3)."""
-    p, _q, shore = choice
-    lo, hi = sc.split(s)
-    other = hi if shore == 0 else lo
+def _pooled_tail(sc: ShortcutComplex, mine: int, other: int) -> int:
+    """Union of the other shore's subtails (phase 3)."""
     pooled = 0
     for r in bits(other):
         pooled |= sc.subtail[r]
-    prefix = sc.omega.tuples[sc.box.base[p]][:-1]
-    star = prefix + (pooled,)
-    return _toggle(sc, s, star, shore)
+    return pooled
 
 
-def _toggle(sc: ShortcutComplex, s: int, star, shore: int) -> int:
+def _toggle(sc: ShortcutComplex, s: int, p: int, shore: int, tail: int) -> int:
+    """Toggle s by the tuple that replaces the tail of position p's tuple."""
+    star = sc.omega.tuples[sc.box.base[p]][:-1] + (tail,)
     try:
         vertex = sc.omega.index_of(star)
     except KeyError:
@@ -447,50 +407,69 @@ def _toggle(sc: ShortcutComplex, s: int, star, shore: int) -> int:
     return other
 
 
-def _verify_involution(sc: ShortcutComplex, matching: MorseMatching, domain: set[int]) -> None:
+def _toggle_matching(sc: ShortcutComplex, toggle: dict[int, int]) -> MorseMatching:
+    """Pair each simplex of the domain (the keys) with its toggle; the pairs
+    must cover the domain exactly and respect the shore swap."""
+    pairs = []
+    for s in sorted(toggle):
+        other = toggle[s]
+        if other not in toggle:
+            raise ContractError("toggle left its matching domain")
+        if s < other:
+            pairs.append((s, other) if s.bit_count() < other.bit_count() else (other, s))
+    matching = MorseMatching(tuple(pairs))
     partner = matching.partner()
-    if set(partner) != domain:
+    if partner.keys() != toggle.keys():
         raise ContractError("matching does not cover its domain exactly")
     for a, b in matching.pairs:
-        if partner.get(complex_mirror(sc, a)) != complex_mirror(sc, b):
+        if partner.get(sc.box.mirror(a)) != sc.box.mirror(b):
             raise ContractError("matching is not equivariant")
+    return matching
 
 
-def complex_mirror(sc: ShortcutComplex, mask: int) -> int:
-    return sc.box.mirror(mask)
+def shortcut_collapses(sc: ShortcutComplex):
+    """Run both collapse recipes on the shortcut complex.
+
+    Returns ``(saturation, phases)``: the saturation matching with its
+    certificate for the collapse onto the saturated-image subcomplex, and
+    the three removal-phase matchings with their certificates, in collapse
+    order.  Every matching is checked inside ``collapse``; raises unless the
+    phases end exactly on the unmodified box complex.
+    """
+    sat_matching, sat_sub = saturation_matching(sc)
+    saturation = (sat_matching, collapse(sc.box, sc.simplices, sat_sub, sat_matching))
+    current = sc.simplices
+    phases = []
+    for matching, domain in removal_phases(sc):
+        target = current - domain
+        phases.append((matching, collapse(sc.box, current, target, matching)))
+        current = target
+    if current != sc.plain_box_simplices():
+        raise ContractError("three-phase collapse missed the unmodified box complex")
+    return saturation, phases
 
 
-def pipeline(g: Graph, k: int, vertex_budget=None, simplex_budget=None) -> dict:
+def pipeline(
+    g: Graph,
+    k: int,
+    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+    simplex_budget: int = DEFAULT_SIMPLEX_BUDGET,
+) -> dict:
     """Full collapse pipeline at half index k: build the shortcut complex,
     run both collapses, and certify that all three box complexes share one
     mod-2 Betti vector.  Returns a report dict; raises on any falsification.
     """
     sc = ShortcutComplex(g, k, vertex_budget, simplex_budget)
-
-    sat_matching, sat_sub = saturation_matching(sc)
-    if not is_acyclic(sat_matching):
-        raise ContractError("saturation matching is cyclic")
-    cert52 = collapse(sc.box, set(sc.simplices), sat_sub, sat_matching)
-
-    phases = removal_phases(sc)
-    current = set(sc.simplices)
-    certs = []
-    for matching, domain in phases:
-        if not is_acyclic(matching):
-            raise ContractError("phase matching is cyclic")
-        target = current - domain
-        cert = collapse(sc.box, current, target, matching)
-        certs.append(cert)
-        current = target
+    (_, cert52), phases = shortcut_collapses(sc)
+    sat_sub = cert52.remaining
     plain = sc.plain_box_simplices()
-    if current != plain:
-        raise ContractError("three-phase collapse missed the unmodified box complex")
 
-    betti_shortcut = betti_mod2(sc.simplices)
-    betti_plain = betti_mod2(plain)
-    betti_saturated = betti_mod2(sat_sub)
-    lower = omega(g, 2 * k - 1)
-    betti_lower = betti_mod2(build_box(lower.graph).simplices())
+    betti_shortcut = betti_mod2(sc.simplices, simplex_budget)
+    betti_plain = betti_mod2(plain, simplex_budget)
+    betti_saturated = betti_mod2(sat_sub, simplex_budget)
+    lower = omega(g, 2 * k - 1, vertex_budget)
+    lower_faces = build_box(lower.graph).simplices(simplex_budget)
+    betti_lower = betti_mod2(lower_faces, simplex_budget)
 
     report = {
         "base": {"n": g.n, "m": g.edge_count()},
@@ -499,7 +478,7 @@ def pipeline(g: Graph, k: int, vertex_budget=None, simplex_budget=None) -> dict:
         "simplices": len(sc.simplices),
         "collapse_steps": {
             "saturation": len(cert52.steps),
-            "phases": [len(c.steps) for c in certs],
+            "phases": [len(cert.steps) for _, cert in phases],
         },
         "betti": {
             "shortcut": list(betti_shortcut),

@@ -22,9 +22,10 @@ from .approx import (
     equivariant,
     max_facet_diameter_sq,
 )
-from .boxcomplex import build_box
+from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, build_box
 from .errors import OmegalabError, ResourceError
 from .functors import (
+    DEFAULT_VERTEX_BUDGET,
     adjoint_witness_from_omega,
     adjoint_witness_to_omega,
     omega,
@@ -43,7 +44,13 @@ from .graphs import (
     tensor_product,
 )
 from .homology import betti_of_complex, convolve
-from .homsearch import HomSearchConfig, chromatic_number, hom_equivalent, hom_exists
+from .homsearch import (
+    DEFAULT_NODE_BUDGET,
+    HomSearchConfig,
+    chromatic_number,
+    hom_equivalent,
+    hom_exists,
+)
 from .morse import pipeline
 
 SUITES = (
@@ -73,9 +80,9 @@ def corpus() -> list[tuple[str, Graph]]:
 
 @dataclass
 class Budgets:
-    vertex_budget: int = 10**6
-    simplex_budget: int = 10**7
-    node_budget: int = 10_000_000
+    vertex_budget: int = DEFAULT_VERTEX_BUDGET
+    simplex_budget: int = DEFAULT_SIMPLEX_BUDGET
+    node_budget: int = DEFAULT_NODE_BUDGET
 
     def search_config(self) -> HomSearchConfig:
         return HomSearchConfig(node_budget=self.node_budget)

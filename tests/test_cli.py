@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -6,6 +8,7 @@ import pytest
 
 from omegalab.cli import main
 from omegalab.graphs import clique, cycle_graph, format_graph, parse_graph, petersen
+from omegalab.morse import pipeline
 
 
 def run_cli(argv, capsys):
@@ -92,6 +95,42 @@ def test_morse_certificate(tmp_path, graph_files, capsys):
     assert set(face.split(",")) < set(cofacet.split(","))
 
 
+# SHA-256 of the `morse -k 1 --certificate` file per (graph, --lemma); any
+# change to a matching or to the collapse order changes these bytes
+MORSE_CERTIFICATE_SHA256 = {
+    ("k3", "52"): "6c1324ba3e7beaee279c7cd1e9ce6da9feaeea516cc6e538f5d8a4f0aa3352dc",
+    ("k3", "54"): "96cb10246f370655215817c52a6118a8d0190a5f0bd2d91f9078c4a170182175",
+    ("k3", "both"): "342088fe7e7627cc0aabaf39a6ea063199c8e73c6424843b52afbc5037318337",
+    ("c5", "52"): "2f84db6a17003ce1cd679e8345135a08536cbfc8f40b4b2bf53753d5cc388b37",
+    ("c5", "54"): "c8fb41df6e4f0277eb4b91c1ac4d9ead999f98e7445e245ee30fca053b6cf792",
+    ("c5", "both"): "f403210a6f1af2337744760d9db1fdffef42d16c10221db25f99cb3dc8d4ac1a",
+}
+
+
+def test_morse_certificates_are_pinned(tmp_path, graph_files, capsys):
+    for (name, lemma), digest in MORSE_CERTIFICATE_SHA256.items():
+        cert = tmp_path / f"{name}-{lemma}.cert"
+        code, _ = run_cli(
+            ["morse", "--lemma", lemma, "-i", str(graph_files[name]), "-k", "1",
+             "--certificate", str(cert)],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(cert.read_bytes()).hexdigest() == digest, (name, lemma)
+
+
+def test_morse_step_counts_match_pipeline(graph_files, capsys):
+    for name, g in (("k3", clique(3)), ("c5", cycle_graph(5))):
+        code, text = run_cli(["morse", "-i", str(graph_files[name]), "-k", "1"], capsys)
+        assert code == 0
+        saturation = re.findall(r"^saturation collapse: (\d+) steps$", text, re.M)
+        phases = re.findall(r"^phase \d collapse: (\d+) steps$", text, re.M)
+        assert {
+            "saturation": int(saturation[0]),
+            "phases": [int(n) for n in phases],
+        } == pipeline(g, 1)["collapse_steps"]
+
+
 def test_approx_report(tmp_path, graph_files, capsys):
     rep = tmp_path / "ap.json"
     code, text = run_cli(
@@ -101,6 +140,36 @@ def test_approx_report(tmp_path, graph_files, capsys):
     payload = json.loads(rep.read_text())
     assert payload["within_bound"] and payload["carrier_ok"]
     assert payload["bound"] == "6"
+    assert (
+        hashlib.sha256(rep.read_bytes()).hexdigest()
+        == "b16ef75a01bb3980df6dcb9b8f6a54c41f58d991867a13b31ed099da487167c7"
+    )
+
+
+def test_approx_edgeless_graph_fails_cleanly(tmp_path, capsys):
+    # no facets: the worst diameter is 0, which is not below the zero bound
+    edgeless = tmp_path / "e.graph"
+    edgeless.write_text("p 2 0\n")
+    rep = tmp_path / "e.json"
+    code, text = run_cli(["approx", "-i", str(edgeless), "-k", "1", "--report", str(rep)], capsys)
+    assert code == 1
+    assert text == "max diameter^2 0 vs bound^2 0: VIOLATED; carrier: ok\n"
+    assert rep.read_text() == (
+        "{\n"
+        '  "bound": "0",\n'
+        '  "bound_sq": "0",\n'
+        '  "carrier_ok": true,\n'
+        '  "facets": [],\n'
+        '  "graph": {\n'
+        '    "m": 0,\n'
+        '    "max_degree": 0,\n'
+        '    "n": 2\n'
+        "  },\n"
+        '  "half_index": 1,\n'
+        '  "max_diameter_sq": "0",\n'
+        '  "within_bound": false\n'
+        "}\n"
+    )
 
 
 def test_verify_exit_codes(tmp_path, capsys):

@@ -71,21 +71,6 @@ def test_solver_matches_bruteforce_on_random_pairs():
         assert (fast is None) == (slow is None)
 
 
-def test_variable_orders_and_propagation_modes_agree():
-    rng = random.Random(5)
-    configs = [
-        HomSearchConfig(variable_order="input"),
-        HomSearchConfig(propagation="forward_check"),
-        HomSearchConfig(variable_order="input", propagation="forward_check"),
-    ]
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(1, 6), 0.5, loop_p=0.1)
-        h = random_graph(rng, rng.randint(1, 5), 0.5, loop_p=0.1)
-        reference = hom_exists(g, h) is None
-        for cfg in configs:
-            assert (hom_exists(g, h, cfg) is None) == reference
-
-
 def test_witness_composition_validates():
     rng = random.Random(99)
     hits = 0

@@ -85,22 +85,27 @@ def test_saturation_matching_is_involution_on_c5():
 
 
 def test_classifier_matches_membership_bruteforce():
+    # a simplex lies outside the unmodified box complex exactly when it has
+    # a cross-shore or a same-shore offense
     for g in (clique(3), clique(4)):
         sc = ShortcutComplex(g, 1)
-        cross, same = sc.classify_offending()
-        outside = {s for s in sc.simplices if not sc.in_plain_box(s)}
-        assert cross | same == outside
-        inside = sc.simplices - outside
-        for s in inside:
-            assert sc.cross_shore_offense(s) is None
-            assert sc.same_shore_offense(s, require_unsaturated=False) is None
+        for s in sc.simplices:
+            offended = (
+                sc.cross_shore_offense(s) is not None
+                or sc.same_shore_offense(s, require_unsaturated=False) is not None
+            )
+            assert offended == (not sc.in_plain_box(s))
 
 
 def test_same_shore_only_offense_exists_in_k4():
+    # offending pairs on one shore with valid cross joins
     sc = ShortcutComplex(clique(4), 1)
-    cross, same = sc.classify_offending()
-    only_same = same - cross
-    assert only_same  # offending pairs on one shore with valid cross joins
+    assert any(
+        not sc.in_plain_box(s)
+        and sc.same_shore_offense(s, require_unsaturated=False) is not None
+        and sc.cross_shore_offense(s) is None
+        for s in sc.simplices
+    )
 
 
 def test_removal_phases_reach_plain_box():
