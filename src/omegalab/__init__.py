@@ -47,7 +47,6 @@ from .homsearch import (
     chromatic_number,
     hom_equivalent,
     hom_exists,
-    hom_exists_bruteforce,
 )
 from .boxcomplex import Z2Complex, build_box, induced_map, make_complex
 from .homology import betti_mod2, betti_of_complex, convolve, euler_characteristic

@@ -33,9 +33,6 @@ class ApproxMap:
     points: list[RationalPoint]  # indexed by source token
     carriers: list[int]  # target mask per source token
 
-    def point(self, token: int) -> RationalPoint:
-        return self.points[token]
-
     def carrier_of(self, mask: int) -> int:
         out = 0
         for t in bits(mask):
@@ -74,7 +71,7 @@ def build_approx_map(g: Graph, k: int) -> ApproxMap:
             size = comp.bit_count()
             weight = Fraction(1, ncomp * size)
             for v in bits(comp):
-                t = tpos[v] + (target.h if black else 0)
+                t = target.token(tpos[v], black)
                 point[t] = point.get(t, Fraction(0)) + weight
                 carrier |= 1 << t
         if sum(point.values()) != 1:
@@ -135,15 +132,7 @@ def carrier_check(amap: ApproxMap, target: Z2Complex | None = None) -> bool:
 def equivariant(amap: ApproxMap) -> bool:
     """Image of the mirrored token is the coordinate-wise mirrored point."""
     for token in range(amap.source.token_count):
-        mtoken = (
-            token + amap.source.h
-            if token < amap.source.h
-            else token - amap.source.h
-        )
-        mirrored = {
-            (t + amap.target.h if t < amap.target.h else t - amap.target.h): c
-            for t, c in amap.points[token].items()
-        }
-        if mirrored != amap.points[mtoken]:
+        mirrored = {amap.target.mirror_token(t): c for t, c in amap.points[token].items()}
+        if mirrored != amap.points[amap.source.mirror_token(token)]:
             return False
     return True

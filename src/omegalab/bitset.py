@@ -18,16 +18,12 @@ def mask_of(items: Iterable[int]) -> int:
     return out
 
 
-def submasks(mask: int, include_empty: bool = False) -> list[int]:
-    """All submasks of ``mask`` in ascending numeric order."""
+def submasks(mask: int) -> list[int]:
+    """All nonempty submasks of ``mask`` in ascending numeric order."""
     out = []
     sub = mask
-    while True:
+    while sub:
         out.append(sub)
-        if sub == 0:
-            break
         sub = (sub - 1) & mask
     out.reverse()
-    if not include_empty:
-        out = out[1:]
     return out

@@ -23,29 +23,43 @@ class Z2Complex:
 
     ``base[p]`` names the object behind shore position p (a graph vertex id
     for box complexes, an arbitrary id for synthetic complexes); token p is
-    its white copy and token p + h its black copy.
+    its white copy and token p + h its black copy.  This class is the one
+    place that knows that layout: callers move between shores only through
+    ``mirror``, ``mirror_token``, ``split`` and ``token``.
     """
 
     base: tuple[int, ...]
     facets: tuple[int, ...]
     free: bool
     _faces: set[int] | None = field(default=None, repr=False, compare=False)
+    h: int = field(init=False, repr=False, compare=False)
+    # mask of the white tokens, which is also the mask of all shore positions
+    white: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def h(self) -> int:
-        return len(self.base)
+    def __post_init__(self):
+        self.h = len(self.base)
+        self.white = (1 << self.h) - 1
 
     @property
     def token_count(self) -> int:
-        return 2 * len(self.base)
+        return 2 * self.h
 
     def token_name(self, t: int) -> tuple[int, str]:
         return (self.base[t % self.h], "+" if t < self.h else "-")
 
     def mirror(self, mask: int) -> int:
-        h = self.h
-        lower = mask & ((1 << h) - 1)
-        return (mask >> h) | (lower << h)
+        return (mask >> self.h) | (mask & self.white) << self.h
+
+    def mirror_token(self, t: int) -> int:
+        return t - self.h if t >= self.h else t + self.h
+
+    def split(self, mask: int) -> tuple[int, int]:
+        """The positions of the mask's white tokens and of its black tokens."""
+        return mask & self.white, mask >> self.h
+
+    def token(self, p: int, black: bool) -> int:
+        """The token of position p on the black shore if ``black``, else the white."""
+        return p + self.h if black else p
 
     def membership(self, mask: int) -> bool:
         """True iff the nonempty token set is a face of some facet."""
@@ -96,16 +110,12 @@ class Z2Complex:
 def make_complex(base, facets) -> Z2Complex:
     """Build a Z2Complex from arbitrary facet masks: dedupe, maximalize,
     close under the mirror, sort canonically, and set the free flag."""
-    closed = set()
-    probe = Z2Complex(tuple(base), (), True)
-    for f in facets:
-        if f:
-            closed.add(f)
-            closed.add(probe.mirror(f))
+    out = Z2Complex(tuple(base), (), True)
+    closed = {m for f in facets if f for m in (f, out.mirror(f))}
     maximal = [f for f in closed if not any(f != g and f & ~g == 0 for g in closed)]
     maximal.sort(key=lambda m: tuple(bits(m)))
-    free = all(f & probe.mirror(f) == 0 for f in maximal)
-    out = Z2Complex(tuple(base), tuple(maximal), free)
+    out.facets = tuple(maximal)
+    out.free = all(f & out.mirror(f) == 0 for f in maximal)
     out.validate()
     return out
 
@@ -117,45 +127,27 @@ def build_box(g: Graph) -> Z2Complex:
     vlist = [v for v in range(g.n) if g.adj[v]]
     pos = {v: i for i, v in enumerate(vlist)}
     h = len(vlist)
-
-    closed_sets = _closure_family(g, vlist)
     facets = []
-    for a_mask in closed_sets:
+    for a_mask in _closed_sets(g):
         cn = common_neighborhood(g, a_mask)
         if a_mask and cn:
             white = mask_of(pos[v] for v in bits(a_mask))
             black = mask_of(h + pos[v] for v in bits(cn))
             facets.append(white | black)
-    facets = sorted(set(facets), key=lambda m: tuple(bits(m)))
-    free = not g.has_loops()
-    out = Z2Complex(tuple(vlist), tuple(facets), free)
+    facets.sort(key=lambda m: tuple(bits(m)))
+    out = Z2Complex(tuple(vlist), tuple(facets), not g.has_loops())
     out.validate()
     return out
 
 
-def _closure_family(g: Graph, vlist) -> list[int]:
-    """All Galois-closed vertex sets A = CN(CN(A)) reachable from singleton
-    closures by join-and-close; every closed set arises this way."""
-
-    def close(mask: int) -> int:
-        return common_neighborhood(g, common_neighborhood(g, mask))
-
-    seeds = []
-    seen = set()
-    for v in vlist:
-        c = close(1 << v)
-        if c not in seen:
-            seen.add(c)
-            seeds.append(c)
-    frontier = list(seeds)
-    while frontier:
-        cur = frontier.pop()
-        for s in seeds:
-            joined = close(cur | s)
-            if joined not in seen:
-                seen.add(joined)
-                frontier.append(joined)
-    return sorted(seen)
+def _closed_sets(g: Graph) -> set[int]:
+    """All Galois-closed vertex sets A = CN(CN(A)).  These are exactly the
+    intersections of neighbourhoods, V being the empty intersection."""
+    family = {g.vertex_mask()}
+    for row in g.adj:
+        if row:
+            family |= {a & row for a in family}
+    return family
 
 
 @dataclass(frozen=True)
@@ -170,13 +162,7 @@ class SimplicialZ2Map:
         if len(self.vertex_map) != self.source.token_count:
             raise ContractError("vertex map must be total on source tokens")
         for t, img in enumerate(self.vertex_map):
-            mt = self.source.h + t if t < self.source.h else t - self.source.h
-            mi = (
-                self.target.h + img
-                if img < self.target.h
-                else img - self.target.h
-            )
-            if self.vertex_map[mt] != mi:
+            if self.vertex_map[self.source.mirror_token(t)] != self.target.mirror_token(img):
                 raise ContractError(f"map does not commute with the swap at token {t}")
         for f in self.source.facets:
             if not self.target.membership(self.image(f)):
@@ -213,7 +199,7 @@ def induced_map(
         img = hom(v)
         if img not in tpos:
             raise ContractError(f"image vertex {img} is isolated in the target")
-        vmap.append(tpos[img] if shore == "+" else target.h + tpos[img])
+        vmap.append(target.token(tpos[img], shore == "-"))
     return SimplicialZ2Map(source, target, tuple(vmap))
 
 

@@ -16,8 +16,8 @@ from .approx import build_approx_map, carrier_check, diameter_bound, simplex_ima
 from .bitset import bits
 from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, build_box, format_complex, parse_complex
 from .errors import OmegalabError, ParseError, ResourceError
-from .functors import DEFAULT_VERTEX_BUDGET, omega, omega_prime, subdivide, walk_power
-from .graphs import Graph, format_graph, max_degree, parse_graph
+from .functors import omega, omega_prime, subdivide, walk_power
+from .graphs import DEFAULT_VERTEX_BUDGET, Graph, format_graph, max_degree, parse_graph
 from .homology import betti_mod2, euler_characteristic
 from .homsearch import (
     DEFAULT_NODE_BUDGET,
@@ -34,9 +34,17 @@ RESOURCE_EXIT = 2
 FAIL_EXIT = 1
 
 
+def _read_text(path: str) -> str:
+    """Every input file is read here, so a non-UTF-8 file is a parse error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text at byte {exc.start}") from None
+
+
 def _read_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 @click.group()
@@ -113,8 +121,7 @@ def box(infile, outfile):
 @click.option("--simplex-budget", type=int, default=DEFAULT_SIMPLEX_BUDGET)
 def homology(infile, simplex_budget):
     """Mod-2 Betti numbers and Euler characteristic of a complex file."""
-    with open(infile, encoding="utf-8") as fh:
-        k = parse_complex(fh.read())
+    k = parse_complex(_read_text(infile))
     faces = k.simplices(simplex_budget)
     betti = betti_mod2(faces, simplex_budget)
     chi = euler_characteristic(faces)
@@ -238,8 +245,7 @@ def _detect_and_parse(text: str):
 @click.option("-o", "outfile", required=True, type=click.Path())
 def convert(infile, outfile):
     """Reserialize a graph or complex file in canonical form."""
-    with open(infile, encoding="utf-8") as fh:
-        kind, obj = _detect_and_parse(fh.read())
+    kind, obj = _detect_and_parse(_read_text(infile))
     text = format_graph(obj) if kind == "graph" else format_complex(obj)
     with open(outfile, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -250,8 +256,7 @@ def convert(infile, outfile):
 @click.option("-i", "infile", required=True, type=click.Path(exists=True))
 def show(infile):
     """Pretty-print a graph or complex file."""
-    with open(infile, encoding="utf-8") as fh:
-        kind, obj = _detect_and_parse(fh.read())
+    kind, obj = _detect_and_parse(_read_text(infile))
     if kind == "graph":
         click.echo(f"graph: {obj.n} vertices, {obj.edge_count()} edges")
         for u, v in obj.edges():

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 from .bitset import bits, submasks
 from .errors import ContractError, ParameterError, PreconditionError, ResourceError
-from .graphs import Graph, common_neighborhood, is_joined
-
-DEFAULT_VERTEX_BUDGET = 10**6
+from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood, is_joined
 
 OmegaTuple = tuple[int, ...]
 
@@ -313,7 +311,7 @@ def adjoint_witness_to_omega(
         comps = []
         for _ in range(depth + 1):
             comps.append(_image_mask(f, reach))
-            reach = _walk_step(g, reach)
+            reach = _bool_mat_vec(g.adj, reach)
         mapping.append(omega_h.index_of(tuple(comps)))
     return Homomorphism(g, omega_h.graph, tuple(mapping))
 
@@ -333,13 +331,6 @@ def _image_mask(f: Homomorphism, mask: int) -> int:
     out = 0
     for v in bits(mask):
         out |= 1 << f(v)
-    return out
-
-
-def _walk_step(g: Graph, mask: int) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= g.adj[v]
     return out
 
 

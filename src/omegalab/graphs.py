@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from .bitset import bits
 from .errors import ParameterError, ParseError
 
+# the most vertices an input graph or an omega construction may have
+DEFAULT_VERTEX_BUDGET = 10**6
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -29,9 +32,8 @@ class Graph:
     def __post_init__(self):
         if len(self.adj) != self.n:
             raise ParameterError("adjacency length does not match vertex count")
-        full = self.vertex_mask()
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:
                 raise ParameterError(f"adjacency row {v} has bits beyond n-1")
             for u in bits(row):
                 if not self.adj[u] >> v & 1:
@@ -54,9 +56,6 @@ class Graph:
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def neighbors(self, v: int) -> int:
-        return self.adj[v]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -232,42 +231,6 @@ def max_degree(g: Graph) -> int:
     return max(row.bit_count() for row in g.adj)
 
 
-# -- brute-force isomorphism (test-scale only, n <= 16) ----------------------
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
-        return False
-
-    deg_h = [h.degree(v) for v in range(h.n)]
-    image = [-1] * g.n
-    used = [False] * h.n
-
-    def place(v: int) -> bool:
-        if v == g.n:
-            return True
-        dv = g.degree(v)
-        for w in range(h.n):
-            if used[w] or deg_h[w] != dv:
-                continue
-            ok = True
-            for u in range(v):
-                if g.has_edge(u, v) != h.has_edge(image[u], w):
-                    ok = False
-                    break
-            if ok and g.has_edge(v, v) == h.has_edge(w, w):
-                image[v] = w
-                used[w] = True
-                if place(v + 1):
-                    return True
-                used[w] = False
-                image[v] = -1
-        return False
-
-    return place(0)
-
-
 # -- text format --------------------------------------------------------------
 #
 #   p <n> <m>
@@ -305,6 +268,10 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError("p line fields must be integers", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("p line fields must be nonnegative", lineno)
+            if n > DEFAULT_VERTEX_BUDGET:
+                raise ParseError(
+                    f"{n} vertices exceed the vertex budget {DEFAULT_VERTEX_BUDGET}", lineno
+                )
         elif kind == "e":
             if n is None:
                 raise ParseError("e line before p line", lineno)

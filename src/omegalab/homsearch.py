@@ -9,7 +9,6 @@ mistake a timeout for a proof).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .bitset import bits
 from .errors import ParameterError, PreconditionError, ResourceError
@@ -107,19 +106,6 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
         return None
 
     return search(0)
-
-
-def hom_exists_bruteforce(g: Graph, h: Graph):
-    """Oracle: try all |V(h)|^|V(g)| maps.  Only sensible at toy sizes."""
-    if g.n == 0:
-        return Homomorphism(g, h, ())
-    if h.n == 0:
-        return None
-    edges = g.edges()
-    for mapping in product(range(h.n), repeat=g.n):
-        if all(h.has_edge(mapping[u], mapping[v]) for u, v in edges):
-            return Homomorphism(g, h, mapping)
-    return None
 
 
 def chromatic_number(g: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG) -> int:

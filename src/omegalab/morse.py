@@ -9,10 +9,10 @@ box complex remains.  ``shortcut_collapses`` runs both, and ``pipeline``
 and the CLI share it.  Both parameterize by the half index k, acting on
 the functor of odd index 2k+1.
 
-Every construction is self-checking: matchings verify that they are
-involutions, stay within their phase domain, respect the shore swap, and
-pass the acyclicity test before any collapse is attempted.  A failure is a
-falsification signal, not an expected runtime event.
+Every matching is checked by ``collapse`` before it is used: its pairs must
+be face/cofacet pairs that cover exactly the simplices outside the target,
+respect the shore swap of a free complex, and pass the acyclicity test.  A
+failure is a falsification signal, not an expected runtime event.
 """
 
 from __future__ import annotations
@@ -23,14 +23,8 @@ from dataclasses import dataclass
 from .bitset import bits
 from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, Z2Complex, build_box
 from .errors import ContractError, ParameterError
-from .functors import (
-    DEFAULT_VERTEX_BUDGET,
-    FunctorResult,
-    omega,
-    omega_prime,
-    saturation_indices,
-)
-from .graphs import Graph, common_neighborhood
+from .functors import FunctorResult, omega, omega_prime, saturation_indices
+from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood
 from .homology import betti_mod2
 
 
@@ -66,8 +60,14 @@ class CollapseCertificate:
 
 
 def _check_matching(
-    simplices: set[int], sub: set[int], matching: MorseMatching, partner: dict[int, int]
+    complex_: Z2Complex,
+    simplices: set[int],
+    sub: set[int],
+    matching: MorseMatching,
+    partner: dict[int, int],
 ) -> None:
+    if not complex_.free:
+        raise ContractError("equivariant collapses need a free complex")
     for a, b in matching.pairs:
         if a.bit_count() + 1 != b.bit_count() or a & ~b:
             raise ContractError("matching pair is not a face/cofacet pair")
@@ -75,6 +75,8 @@ def _check_matching(
             raise ContractError("matching pair uses unknown simplices")
         if a in sub or b in sub:
             raise ContractError("matching touches the protected subcomplex")
+        if partner.get(complex_.mirror(a)) != complex_.mirror(b):
+            raise ContractError("matching is not equivariant")
     if set(partner) != simplices - sub:
         raise ContractError("matching does not cover the simplices outside the subcomplex")
 
@@ -133,12 +135,14 @@ def collapse(
 ) -> CollapseCertificate:
     """Run the matching as a sequence of equivariant elementary collapses.
 
-    At every step the removed cofacet is the unique simplex properly
-    containing its face in the current complex; the mirror pair is removed
-    in the same step.  Ends exactly at ``sub`` or raises.
+    First checks the matching: face/cofacet pairs that cover exactly
+    ``simplices - sub``, closed under the shore swap of a free complex, and
+    acyclic.  At every step the removed cofacet is the unique simplex
+    properly containing its face in the current complex; the mirror pair is
+    removed in the same step.  Ends exactly at ``sub`` or raises.
     """
     partner = matching.partner()
-    _check_matching(simplices, sub, matching, partner)
+    _check_matching(complex_, simplices, sub, matching, partner)
     lower_set = {a for a, _ in matching.pairs}
     if not _is_acyclic(partner, lower_set):
         raise ContractError("matching has a directed cycle; collapse refused")
@@ -179,6 +183,8 @@ def collapse(
         up = partner[low]
         mlow = complex_.mirror(low)
         mup = complex_.mirror(up)
+        if counts[mlow] != 1:  # only when simplices or sub is not swap-symmetric
+            raise ContractError("mirror step is not an elementary collapse")
         for s in (low, up, mlow, mup):
             remove(s)
         steps.append((low, up))
@@ -219,7 +225,7 @@ class ShortcutComplex:
         self._plain: frozenset[int] | None = None
 
         base = self.box.base  # positions -> vertex ids of the adjoint graph
-        self.h = self.box.h
+        h = self.box.h
         pos_of = {v: p for p, v in enumerate(base)}
         sat = saturation_indices(g, self.omega)
         tuples = self.omega.tuples
@@ -237,15 +243,14 @@ class ShortcutComplex:
             self.sat_token.append(pos_of[target])
         self.pos_of = pos_of
 
-        full = (1 << self.h) - 1
         # join tables over positions: tails vs tails, tails vs subtails
         self.join_tail_tail = []
         self.join_tail_subtail = []
-        for p in range(self.h):
+        for p in range(h):
             cn = common_neighborhood(g, self.tail[p])
             row_tt = 0
             row_ts = 0
-            for q in range(self.h):
+            for q in range(h):
                 if self.tail[q] & ~cn == 0:
                     row_tt |= 1 << q
                 if self.subtail[q] & ~cn == 0:
@@ -261,23 +266,17 @@ class ShortcutComplex:
                 if vrow >> w & 1:
                     row |= 1 << q
             self.omega_adj_pos.append(row)
-        self.full_pos = full
-
-    # shore helpers -----------------------------------------------------------
-
-    def split(self, mask: int) -> tuple[int, int]:
-        return mask & self.full_pos, mask >> self.h
 
     def in_plain_box(self, mask: int) -> bool:
         """Membership of a shortcut-complex simplex in the unmodified box
         complex, decided by adjacency in the unmodified adjoint graph."""
-        lo, hi = self.split(mask)
-        cn_lo = self.full_pos
+        lo, hi = self.box.split(mask)
+        cn_lo = self.box.white
         for p in bits(lo):
             cn_lo &= self.omega_adj_pos[p]
         if hi & ~cn_lo or cn_lo == 0:
             return False
-        cn_hi = self.full_pos
+        cn_hi = self.box.white
         for q in bits(hi):
             cn_hi &= self.omega_adj_pos[q]
         return cn_hi != 0
@@ -289,7 +288,7 @@ class ShortcutComplex:
         return self._plain
 
     def saturated_subcomplex(self) -> set[int]:
-        keep = self.saturated_pos | self.saturated_pos << self.h
+        keep = self.saturated_pos | self.box.mirror(self.saturated_pos)
         return {s for s in self.simplices if s & ~keep == 0}
 
     # offending-simplex classification ----------------------------------------
@@ -297,7 +296,7 @@ class ShortcutComplex:
     def cross_shore_offense(self, mask: int):
         """Minimal ordered pair (p, q, shore-of-p) with tails not joined
         across shores, or None."""
-        lo, hi = self.split(mask)
+        lo, hi = self.box.split(mask)
         for p in bits(lo | hi):
             if lo >> p & 1:
                 off = hi & ~self.join_tail_tail[p]
@@ -312,7 +311,7 @@ class ShortcutComplex:
         """Minimal ordered same-shore pair (p, q, shore) whose tail fails to
         join the other's subtail; optionally only pairs whose first member
         is unsaturated."""
-        lo, hi = self.split(mask)
+        lo, hi = self.box.split(mask)
         cand = lo | hi
         if require_unsaturated:
             cand &= ~self.saturated_pos
@@ -330,16 +329,14 @@ def saturation_matching(sc: ShortcutComplex) -> tuple[MorseMatching, set[int]]:
     by the saturated partner of the least such vertex.  Returns the matching
     and the protected subcomplex (simplices purely on saturated vertices)."""
     sub = sc.saturated_subcomplex()
-    unsat = ~sc.saturated_pos & sc.full_pos
     toggle = {}
     for s in sc.simplices - sub:
-        lo, hi = sc.split(s)
-        union = (lo | hi) & unsat
+        lo, hi = sc.box.split(s)
+        union = (lo | hi) & ~sc.saturated_pos
         # least unsaturated vertex over both shores, in canonical order
         p = (union & -union).bit_length() - 1
-        shore_shift = 0 if lo >> p & 1 else sc.h
-        toggle[s] = s ^ (1 << (sc.sat_token[p] + shore_shift))
-    return _toggle_matching(sc, toggle), sub
+        toggle[s] = s ^ (1 << sc.box.token(sc.sat_token[p], not (lo >> p & 1)))
+    return _toggle_matching(toggle), sub
 
 
 def removal_phases(sc: ShortcutComplex):
@@ -366,10 +363,10 @@ def removal_phases(sc: ShortcutComplex):
         else:
             raise ContractError(f"extra simplex {s:#x} matches no phase")
         p, _q, shore = offense
-        lo, hi = sc.split(s)
+        lo, hi = sc.box.split(s)
         mine, other = (lo, hi) if shore == 0 else (hi, lo)
         toggles[phase][s] = _toggle(sc, s, p, shore, new_tail(sc, mine, other))
-    return [(_toggle_matching(sc, toggle), set(toggle)) for toggle in toggles]
+    return [(_toggle_matching(toggle), set(toggle)) for toggle in toggles]
 
 
 def _capped_tail(sc: ShortcutComplex, mine: int, other: int) -> int:
@@ -400,31 +397,22 @@ def _toggle(sc: ShortcutComplex, s: int, p: int, shore: int, tail: int) -> int:
     pos = sc.pos_of.get(vertex)
     if pos is None:
         raise ContractError("replacement tuple is isolated")
-    token = pos if shore == 0 else pos + sc.h
-    other = s ^ (1 << token)
+    other = s ^ (1 << sc.box.token(pos, shore))
     if other == 0 or other not in sc.simplices:
         raise ContractError("toggle left the shortcut complex")
     return other
 
 
-def _toggle_matching(sc: ShortcutComplex, toggle: dict[int, int]) -> MorseMatching:
-    """Pair each simplex of the domain (the keys) with its toggle; the pairs
-    must cover the domain exactly and respect the shore swap."""
+def _toggle_matching(toggle: dict[int, int]) -> MorseMatching:
+    """Pair each simplex of the domain (the keys) with its toggle, face
+    first; ``collapse`` checks that the pairs cover the domain exactly and
+    respect the shore swap."""
     pairs = []
     for s in sorted(toggle):
         other = toggle[s]
-        if other not in toggle:
-            raise ContractError("toggle left its matching domain")
         if s < other:
             pairs.append((s, other) if s.bit_count() < other.bit_count() else (other, s))
-    matching = MorseMatching(tuple(pairs))
-    partner = matching.partner()
-    if partner.keys() != toggle.keys():
-        raise ContractError("matching does not cover its domain exactly")
-    for a, b in matching.pairs:
-        if partner.get(sc.box.mirror(a)) != sc.box.mirror(b):
-            raise ContractError("matching is not equivariant")
-    return matching
+    return MorseMatching(tuple(pairs))
 
 
 def shortcut_collapses(sc: ShortcutComplex):

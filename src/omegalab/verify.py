@@ -25,7 +25,6 @@ from .approx import (
 from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, build_box
 from .errors import OmegalabError, ResourceError
 from .functors import (
-    DEFAULT_VERTEX_BUDGET,
     adjoint_witness_from_omega,
     adjoint_witness_to_omega,
     omega,
@@ -35,6 +34,7 @@ from .functors import (
     walk_power,
 )
 from .graphs import (
+    DEFAULT_VERTEX_BUDGET,
     Graph,
     clique,
     cycle_graph,

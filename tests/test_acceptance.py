@@ -16,11 +16,18 @@ from omegalab.approx import build_approx_map, carrier_check, diameter_bound, max
 from omegalab.functors import omega, subdivide, subdivision_embedding, squarefree_retraction, walk_power
 from omegalab.graphs import clique, cycle_graph, min_odd_closed_walk, path_graph, petersen
 from omegalab.homology import betti_mod2
-from omegalab.homsearch import chromatic_number, hom_equivalent, hom_exists, hom_exists_bruteforce
+from omegalab.homsearch import chromatic_number, hom_equivalent, hom_exists
 from omegalab.morse import ShortcutComplex, collapse, is_acyclic, pipeline, removal_phases, saturation_matching
 from omegalab.verify import run_suite
 
-from util import acyclic_oracle, random_collapse_matching, random_free_complex, random_graph
+from util import (
+    acyclic_oracle,
+    cli_env,
+    hom_exists_bruteforce,
+    random_collapse_matching,
+    random_free_complex,
+    random_graph,
+)
 
 
 def report(number, name, ok, detail=""):
@@ -173,6 +180,7 @@ def test_criterion_10_determinism(tmp_path):
             capture_output=True,
             text=True,
             timeout=1200,
+            env=cli_env(),
         )
         codes.append(proc.returncode)
         outs.append(path.read_text())

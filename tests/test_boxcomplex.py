@@ -14,7 +14,7 @@ from omegalab.errors import ParseError
 from omegalab.functors import Homomorphism, base_projection, omega
 from omegalab.graphs import Graph, clique, common_neighborhood, cycle_graph, path_graph
 
-from util import random_graph
+from util import box_facets_oracle, random_graph
 
 
 def test_box_of_k2():
@@ -44,6 +44,13 @@ def test_isolated_vertices_dropped():
     g = Graph.from_edges(4, [(0, 1)])  # vertices 2, 3 isolated
     k = build_box(g)
     assert k.base == (0, 1)
+
+
+def test_facets_match_closed_set_oracle():
+    rng = random.Random(2718)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 10), rng.random(), loop_p=rng.choice((0.0, 0.15)))
+        assert set(build_box(g).facets) == box_facets_oracle(g)
 
 
 def test_membership():

@@ -3,12 +3,15 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 from omegalab.cli import main
 from omegalab.graphs import clique, cycle_graph, format_graph, parse_graph, petersen
 from omegalab.morse import pipeline
+
+from util import cli_env
 
 
 def run_cli(argv, capsys):
@@ -227,6 +230,27 @@ def test_console_entrypoint_runs():
         capture_output=True,
         text=True,
         timeout=300,
+        env=cli_env(),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "suite approx: pass" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"p 3000000 0\n", b"p " + b"1" + b"0" * 30 + b" 0\n", b"p 1 0\nl 0 \xff\xfe\n"],
+    ids=["three-million-vertices", "ten-to-the-thirty-vertices", "not-utf8"],
+)
+def test_hostile_input_is_a_fast_parse_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(content)
+    start = time.perf_counter()
+    code = 0
+    try:
+        main(["show", "-i", str(bad)])
+    except SystemExit as exc:
+        code = exc.code
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("parse error") and "Traceback" not in err
+    assert elapsed < 1.0

@@ -26,13 +26,14 @@ from omegalab.graphs import (
     clique,
     common_neighborhood,
     cycle_graph,
-    is_isomorphic,
     is_joined,
     path_graph,
     petersen,
     same_adjacency,
 )
 from omegalab.homsearch import hom_exists
+
+from util import is_isomorphic
 
 
 def count_omega_vertices_bruteforce(g: Graph, k: int) -> int:

@@ -10,7 +10,6 @@ from omegalab.graphs import (
     common_neighborhood,
     cycle_graph,
     format_graph,
-    is_isomorphic,
     is_joined,
     is_square_free,
     make_family,
@@ -23,7 +22,7 @@ from omegalab.graphs import (
     tensor_product,
 )
 
-from util import random_graph
+from util import is_isomorphic, random_graph
 
 
 def test_family_examples():

@@ -11,11 +11,10 @@ from omegalab.homsearch import (
     format_witness,
     hom_equivalent,
     hom_exists,
-    hom_exists_bruteforce,
     parse_witness,
 )
 
-from util import random_graph
+from util import hom_exists_bruteforce, random_graph
 
 
 def test_hom_exists_examples():

@@ -63,6 +63,32 @@ def test_collapse_refuses_cyclic_matching():
         collapse(k, simplices, simplices - matching.matched(), matching)
 
 
+def test_collapse_refuses_non_equivariant_matching():
+    # the pairs cover everything outside sub and are acyclic, but the mirror
+    # of the first pair is not a pair: collapse used to remove it on trust
+    k = make_complex((0, 1, 2), [0b010101, 0b101010])
+    pairs = (
+        (0b000101, 0b010101),
+        (0b001010, 0b101010),
+        (0b000001, 0b010001),
+        (0b001000, 0b101000),
+    )
+    matching = MorseMatching(pairs)
+    simplices = set(k.simplices())
+    with pytest.raises(ContractError, match="equivariant"):
+        collapse(k, simplices, simplices - matching.matched(), matching)
+
+
+def test_collapse_refuses_non_elementary_mirror_step():
+    # white triangle boundary and its mirror, without the black edge {1b, 2b}:
+    # {2b} is a free face of {0b, 2b}, but its mirror {2w} also lies in {1w, 2w}
+    k = make_complex((0, 1, 2), [0b000111, 0b111000])
+    simplices = {s for s in k.simplices() if s.bit_count() < 3} - {0b110000}
+    matching = MorseMatching(((0b000100, 0b000101), (0b100000, 0b101000)))
+    with pytest.raises(ContractError, match="elementary"):
+        collapse(k, simplices, simplices - matching.matched(), matching)
+
+
 def test_saturation_matching_on_k3():
     sc = ShortcutComplex(clique(3), 1)
     matching, sub = saturation_matching(sc)

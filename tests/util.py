@@ -6,14 +6,26 @@ different algorithm and data layout than the package's bitset elimination.
 
 from __future__ import annotations
 
+import os
 import random
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 
 from omegalab.bitset import bits, mask_of
 from omegalab.boxcomplex import Z2Complex, make_complex
-from omegalab.graphs import Graph
+from omegalab.functors import Homomorphism
+from omegalab.graphs import Graph, common_neighborhood
 from omegalab.morse import MorseMatching
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for running ``python -m omegalab.cli`` in a subprocess
+    from this checkout, whether or not the package is installed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 def betti_oracle(simplices) -> tuple[int, ...]:
@@ -105,6 +117,67 @@ def acyclic_oracle(matching: MorseMatching) -> bool:
                     if rk[j]:
                         ri[j] = True
     return not any(reach[i][i] for i in range(n))
+
+
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Brute-force isomorphism test by degree-pruned backtracking (n <= 16)."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return False
+    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
+        return False
+
+    deg_h = [h.degree(v) for v in range(h.n)]
+    image = [-1] * g.n
+    used = [False] * h.n
+
+    def place(v: int) -> bool:
+        if v == g.n:
+            return True
+        dv = g.degree(v)
+        for w in range(h.n):
+            if used[w] or deg_h[w] != dv:
+                continue
+            ok = True
+            for u in range(v):
+                if g.has_edge(u, v) != h.has_edge(image[u], w):
+                    ok = False
+                    break
+            if ok and g.has_edge(v, v) == h.has_edge(w, w):
+                image[v] = w
+                used[w] = True
+                if place(v + 1):
+                    return True
+                used[w] = False
+                image[v] = -1
+        return False
+
+    return place(0)
+
+
+def hom_exists_bruteforce(g: Graph, h: Graph):
+    """Oracle: try all |V(h)|^|V(g)| maps.  Only sensible at toy sizes."""
+    if g.n == 0:
+        return Homomorphism(g, h, ())
+    if h.n == 0:
+        return None
+    edges = g.edges()
+    for mapping in product(range(h.n), repeat=g.n):
+        if all(h.has_edge(mapping[u], mapping[v]) for u, v in edges):
+            return Homomorphism(g, h, mapping)
+    return None
+
+
+def box_facets_oracle(g: Graph) -> set[int]:
+    """Box-complex facets from every vertex set A with CN(CN(A)) = A and
+    both A and CN(A) nonempty, found by trying all 2^n subsets."""
+    pos = {v: p for p, v in enumerate(v for v in range(g.n) if g.adj[v])}
+    h = len(pos)
+    out = set()
+    for a in range(1, 1 << g.n):
+        cn = common_neighborhood(g, a)
+        if cn and common_neighborhood(g, cn) == a:
+            out.add(mask_of(pos[v] for v in bits(a)) | mask_of(h + pos[v] for v in bits(cn)))
+    return out
 
 
 def random_graph(rng: random.Random, n: int, edge_p: float, loop_p: float = 0.0) -> Graph:
