@@ -95,10 +95,8 @@ class Z2Complex:
         for f in self.facets:
             if f & ~full:
                 raise ParameterError("facet uses tokens beyond the vertex table")
-        for i, f in enumerate(self.facets):
-            for g in self.facets:
-                if f != g and f & ~g == 0:
-                    raise ParameterError("facet list is not an antichain")
+        if len(_maximal(self.facets)) != len(self.facets):
+            raise ParameterError("facet list is not an antichain")
         mirrored = sorted(self.mirror(f) for f in self.facets)
         if mirrored != sorted(self.facets):
             raise ParameterError("facet list is not swap-symmetric")
@@ -112,11 +110,29 @@ def make_complex(base, facets) -> Z2Complex:
     close under the mirror, sort canonically, and set the free flag."""
     out = Z2Complex(tuple(base), (), True)
     closed = {m for f in facets if f for m in (f, out.mirror(f))}
-    maximal = [f for f in closed if not any(f != g and f & ~g == 0 for g in closed)]
+    maximal = _maximal(list(closed))
     maximal.sort(key=lambda m: tuple(bits(m)))
     out.facets = tuple(maximal)
     out.free = all(f & out.mirror(f) == 0 for f in maximal)
     out.validate()
+    return out
+
+
+def _maximal(masks) -> list[int]:
+    """The masks that no other entry contains; a repeated mask contains its
+    copy.  Entry i is maximal iff the AND, over its tokens, of the set of
+    entries holding that token is entry i alone."""
+    holders: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        for t in bits(m):
+            holders[t] = holders.get(t, 0) | 1 << i
+    out = []
+    for i, m in enumerate(masks):
+        above = (1 << len(masks)) - 1
+        for t in bits(m):
+            above &= holders[t]
+        if above == 1 << i:
+            out.append(m)
     return out
 
 
@@ -280,10 +296,10 @@ def parse_complex(text: str) -> Z2Complex:
     if len(set(whites)) != len(whites):
         raise ParseError("duplicate (graph-vertex, shore) token")
     h = len(whites)
+    index = {gv: i for i, gv in enumerate(whites)}
     new_pos = {}
     for tid, (gv, shore) in tokens.items():
-        idx = whites.index(gv)
-        new_pos[tid] = idx if shore == "+" else h + idx
+        new_pos[tid] = index[gv] if shore == "+" else h + index[gv]
     facets = []
     for ids, lineno in facet_rows:
         facets.append(mask_of(new_pos[t] for t in ids))

@@ -290,7 +290,7 @@ def main(argv=None):
     except ResourceError as exc:
         click.echo(f"resource error: {exc}", err=True)
         sys.exit(RESOURCE_EXIT)
-    except OmegalabError as exc:
+    except (OmegalabError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(FAIL_EXIT)
 

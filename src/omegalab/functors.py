@@ -263,12 +263,17 @@ def saturate_tail(g: Graph, tup: OmegaTuple) -> OmegaTuple:
 def omega_prime(
     g: Graph, k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> FunctorResult:
-    """Shortcut extension of omega(g, k), k odd >= 3: same vertices, and for
-    every edge {a, b} also edges from a and b to the saturated partners.
-    """
+    """Shortcut extension of omega(g, k), k odd >= 3."""
     _require_odd(k, minimum=3)
-    base = omega(g, k, vertex_budget)
-    sat = [base.index_of(saturate_tail(g, t)) for t in base.tuples]
+    return shortcut(g, omega(g, k, vertex_budget))
+
+
+def shortcut(g: Graph, base: FunctorResult) -> FunctorResult:
+    """Shortcut extension of an omega result of index >= 3: same vertices,
+    and for every edge {a, b} also edges from a and b to the saturated
+    partners."""
+    _require_odd(base.k, minimum=3)
+    sat = saturation_indices(g, base)
     rows = list(base.graph.adj)
     for i in range(base.graph.n):
         for j in bits(base.graph.adj[i]):
@@ -279,7 +284,7 @@ def omega_prime(
                 rows[y] |= 1 << x
     graph = Graph(base.graph.n, tuple(rows), base.graph.labels)
     return FunctorResult(
-        graph, "omega-prime", k, g, tuples=base.tuples, tuple_index=base.tuple_index
+        graph, "omega-prime", base.k, g, tuples=base.tuples, tuple_index=base.tuple_index
     )
 
 

@@ -4,10 +4,11 @@ The generic engine (``is_acyclic``, ``collapse``) works on any free
 two-shore complex.  The specific matchings are the two collapse recipes for
 the shortcut complex of the right-adjoint graph: ``saturation_matching``
 retracts it onto the saturated-image subcomplex, and ``removal_phases``
-peels the added simplices in three phases until exactly the unmodified
-box complex remains.  ``shortcut_collapses`` runs both, and ``pipeline``
-and the CLI share it.  Both parameterize by the half index k, acting on
-the functor of odd index 2k+1.
+peels the added simplices in three phases until exactly the unmodified box
+complex remains, the one ``build_box`` builds for omega(G, 2k+1).
+``shortcut_collapses`` runs both, and ``pipeline`` and the CLI share it.
+Both parameterize by the half index k, acting on the functor of odd index
+2k+1.
 
 Every matching is checked by ``collapse`` before it is used: its pairs must
 be face/cofacet pairs that cover exactly the simplices outside the target,
@@ -20,10 +21,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .bitset import bits
+from .bitset import bits, mask_of
 from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, Z2Complex, build_box
 from .errors import ContractError, ParameterError
-from .functors import FunctorResult, omega, omega_prime, saturation_indices
+from .functors import FunctorResult, omega, saturation_indices, shortcut
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood
 from .homology import betti_mod2
 
@@ -201,9 +202,10 @@ def collapse(
 
 
 class ShortcutComplex:
-    """Bundles the right-adjoint graph of index 2k+1, its shortcut extension,
-    the box complex of the extension, and the per-position data the matchings
-    consume (tail masks, saturation flags, pairwise join tables)."""
+    """Bundles the right-adjoint graph of index 2k+1, the box complex of its
+    shortcut extension, its unmodified box complex, and the per-position
+    data the matchings consume (tail masks, saturation flags, pairwise join
+    tables)."""
 
     def __init__(
         self,
@@ -218,11 +220,14 @@ class ShortcutComplex:
             raise ParameterError("shortcut collapses need a loopless base graph")
         self.g = g
         self.k = k
+        self.simplex_budget = simplex_budget
         self.omega: FunctorResult = omega(g, 2 * k + 1, vertex_budget)
-        self.prime: FunctorResult = omega_prime(g, 2 * k + 1, vertex_budget)
-        self.box: Z2Complex = build_box(self.prime.graph)
+        self.box: Z2Complex = build_box(shortcut(g, self.omega).graph)
         self.simplices: set[int] = self.box.simplices(simplex_budget)
-        self._plain: frozenset[int] | None = None
+        # shortcut edges touch only omega's non-isolated vertices: one layout
+        self.plain: Z2Complex = build_box(self.omega.graph)
+        if self.plain.base != self.box.base:
+            raise ContractError("shortcut and unmodified box complexes differ in layout")
 
         base = self.box.base  # positions -> vertex ids of the adjoint graph
         h = self.box.h
@@ -232,15 +237,10 @@ class ShortcutComplex:
 
         self.tail = [tuples[v][-1] for v in base]
         self.subtail = [tuples[v][-2] for v in base]
-        self.saturated_pos = 0
-        self.sat_token = []  # position of the saturated partner, per position
-        for p, v in enumerate(base):
-            if sat[v] == v:
-                self.saturated_pos |= 1 << p
-            target = sat[v]
-            if target not in pos_of:
-                raise ContractError("saturated partner is isolated; cannot happen")
-            self.sat_token.append(pos_of[target])
+        self.saturated_pos = mask_of(p for p, v in enumerate(base) if sat[v] == v)
+        if any(sat[v] not in pos_of for v in base):
+            raise ContractError("saturated partner is isolated; cannot happen")
+        self.sat_token = [pos_of[sat[v]] for v in base]  # partner's position, per position
         self.pos_of = pos_of
 
         # join tables over positions: tails vs tails, tails vs subtails
@@ -257,35 +257,10 @@ class ShortcutComplex:
                     row_ts |= 1 << q
             self.join_tail_tail.append(row_tt)
             self.join_tail_subtail.append(row_ts)
-        # adjacency of the unmodified adjoint graph, re-indexed to positions
-        self.omega_adj_pos = []
-        for p, v in enumerate(base):
-            row = 0
-            vrow = self.omega.graph.adj[v]
-            for q, w in enumerate(base):
-                if vrow >> w & 1:
-                    row |= 1 << q
-            self.omega_adj_pos.append(row)
 
-    def in_plain_box(self, mask: int) -> bool:
-        """Membership of a shortcut-complex simplex in the unmodified box
-        complex, decided by adjacency in the unmodified adjoint graph."""
-        lo, hi = self.box.split(mask)
-        cn_lo = self.box.white
-        for p in bits(lo):
-            cn_lo &= self.omega_adj_pos[p]
-        if hi & ~cn_lo or cn_lo == 0:
-            return False
-        cn_hi = self.box.white
-        for q in bits(hi):
-            cn_hi &= self.omega_adj_pos[q]
-        return cn_hi != 0
-
-    def plain_box_simplices(self) -> frozenset[int]:
-        """The simplices of the unmodified box complex; decided once, then cached."""
-        if self._plain is None:
-            self._plain = frozenset(s for s in self.simplices if self.in_plain_box(s))
-        return self._plain
+    def plain_box_simplices(self) -> set[int]:
+        """The simplices of the unmodified box complex, materialized once."""
+        return self.plain.simplices(self.simplex_budget)
 
     def saturated_subcomplex(self) -> set[int]:
         keep = self.saturated_pos | self.box.mirror(self.saturated_pos)

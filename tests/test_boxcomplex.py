@@ -1,16 +1,19 @@
 import random
+import time
 
 import pytest
 
 from omegalab.bitset import bits, mask_of
 from omegalab.boxcomplex import (
+    Z2Complex,
+    _maximal,
     build_box,
     format_complex,
     induced_map,
     make_complex,
     parse_complex,
 )
-from omegalab.errors import ParseError
+from omegalab.errors import ParameterError, ParseError
 from omegalab.functors import Homomorphism, base_projection, omega
 from omegalab.graphs import Graph, clique, common_neighborhood, cycle_graph, path_graph
 
@@ -149,3 +152,34 @@ def test_make_complex_maximalizes_and_mirrors():
     k = make_complex((0, 1), [0b1001, 0b0001])
     assert set(k.facets) == {0b1001, 0b0110}
     assert k.free
+
+
+def test_maximal_matches_all_pairs_definition():
+    # nested and repeated masks; a repeated mask is contained in its copy
+    rng = random.Random(9091)
+    for _ in range(300):
+        masks = [rng.randrange(1, 1 << 8) for _ in range(rng.randint(1, 12))]
+        for _ in range(rng.randint(0, 4)):
+            m = rng.choice(masks)  # append a copy of m or a nonempty submask of it
+            masks.append(m if rng.random() < 0.5 else m & rng.randrange(1 << 8) or m)
+        rng.shuffle(masks)
+        expected = [
+            m for i, m in enumerate(masks)
+            if not any(j != i and m & ~o == 0 for j, o in enumerate(masks))
+        ]
+        assert _maximal(masks) == expected
+
+
+def test_validate_refuses_nested_or_repeated_facets():
+    for facets in ((0b0001, 0b1001, 0b0110), (0b1001, 0b1001, 0b0110, 0b0110)):
+        with pytest.raises(ParameterError, match="not an antichain"):
+            Z2Complex((0, 1), facets, True).validate()
+
+
+def test_parse_complex_is_linear_in_tokens():
+    h = 20000
+    lines = [f"c {2 * h}"] + [f"n {t} {t // 2} {'+-'[t % 2]}" for t in range(2 * h)]
+    start = time.perf_counter()
+    k = parse_complex("\n".join(lines) + "\n")
+    assert time.perf_counter() - start < 1.0
+    assert k.base == tuple(range(h)) and k.facets == ()

@@ -224,6 +224,21 @@ def test_parse_error_exits_one_with_position(tmp_path, capsys):
     assert code == 1 and "line 2" in err
 
 
+@pytest.mark.parametrize("case", ["missing-output-dir", "input-is-a-directory"])
+def test_file_errors_exit_one_without_traceback(tmp_path, graph_files, capsys, case):
+    if case == "missing-output-dir":
+        argv = ["box", "-i", str(graph_files["k3"]), "-o", str(tmp_path / "missing" / "x.cx")]
+    else:
+        argv = ["show", "-i", str(tmp_path)]
+    code = 0
+    try:
+        main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "omegalab.cli", "verify", "approx"],

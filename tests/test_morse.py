@@ -3,7 +3,7 @@ import random
 import pytest
 
 from omegalab.boxcomplex import make_complex
-from omegalab.errors import ContractError
+from omegalab.errors import ContractError, ResourceError
 from omegalab.graphs import clique, cycle_graph
 from omegalab.homology import betti_mod2
 from omegalab.morse import (
@@ -16,7 +16,14 @@ from omegalab.morse import (
     saturation_matching,
 )
 
-from util import acyclic_oracle, random_collapse_matching, random_equivariant_matching, random_free_complex
+from util import (
+    acyclic_oracle,
+    is_box_face,
+    random_collapse_matching,
+    random_equivariant_matching,
+    random_free_complex,
+    random_graph,
+)
 
 
 def two_shore_edge_complex():
@@ -115,23 +122,44 @@ def test_classifier_matches_membership_bruteforce():
     # a cross-shore or a same-shore offense
     for g in (clique(3), clique(4)):
         sc = ShortcutComplex(g, 1)
+        plain = sc.plain_box_simplices()
         for s in sc.simplices:
             offended = (
                 sc.cross_shore_offense(s) is not None
                 or sc.same_shore_offense(s, require_unsaturated=False) is not None
             )
-            assert offended == (not sc.in_plain_box(s))
+            assert offended == (s not in plain)
 
 
 def test_same_shore_only_offense_exists_in_k4():
     # offending pairs on one shore with valid cross joins
     sc = ShortcutComplex(clique(4), 1)
+    plain = sc.plain_box_simplices()
     assert any(
-        not sc.in_plain_box(s)
+        s not in plain
         and sc.same_shore_offense(s, require_unsaturated=False) is not None
         and sc.cross_shore_offense(s) is None
         for s in sc.simplices
     )
+
+
+def test_plain_box_is_the_box_complex_of_omega_in_shared_layout():
+    # the complex build_box makes for omega, read in the shortcut complex's
+    # token names, holds exactly the shortcut simplices that are faces of
+    # B(omega) by definition
+    rng = random.Random(5150)
+    built = strict = 0
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.8))
+        try:
+            sc = ShortcutComplex(g, rng.choice((1, 2)), vertex_budget=100, simplex_budget=5000)
+        except ResourceError:
+            continue
+        faces = {s for s in sc.simplices if is_box_face(sc.omega.graph, sc.box, s)}
+        assert sc.plain_box_simplices() == faces
+        built += 1
+        strict += faces != sc.simplices
+    assert built >= 30 and strict > 0
 
 
 def test_removal_phases_reach_plain_box():

@@ -180,6 +180,21 @@ def box_facets_oracle(g: Graph) -> set[int]:
     return out
 
 
+def is_box_face(g: Graph, k: Z2Complex, mask: int) -> bool:
+    """The definition of a face of the box complex of g, on a token mask
+    named as in k: its white vertices A and black vertices B satisfy
+    A x B in E(g), and A and B each have a common neighbour in g."""
+    names = [k.token_name(t) for t in bits(mask)]
+    a = mask_of(v for v, shore in names if shore == "+")
+    b = mask_of(v for v, shore in names if shore == "-")
+    return (
+        mask != 0
+        and all(b & ~g.adj[v] == 0 for v in bits(a))
+        and common_neighborhood(g, a) != 0
+        and common_neighborhood(g, b) != 0
+    )
+
+
 def random_graph(rng: random.Random, n: int, edge_p: float, loop_p: float = 0.0) -> Graph:
     edges = []
     for u in range(n):
