@@ -16,14 +16,3 @@ def mask_of(items: Iterable[int]) -> int:
     for i in items:
         out |= 1 << i
     return out
-
-
-def submasks(mask: int) -> list[int]:
-    """All nonempty submasks of ``mask`` in ascending numeric order."""
-    out = []
-    sub = mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
-    out.reverse()
-    return out

@@ -149,7 +149,7 @@ def morse(which, infile, half, certificate, vertex_budget, simplex_budget):
         shown += [(f"phase {i}", f"phase {i} collapse", p) for i, p in enumerate(phases, start=1)]
     steps = []
     for matching_label, collapse_label, (matching, cert) in shown:
-        # collapse() refuses a cyclic matching, so every shown matching is acyclic
+        # a completed collapse proves its matching acyclic
         click.echo(f"{matching_label}: {len(matching.pairs)} pairs, acyclic: True")
         click.echo(f"{collapse_label}: {len(cert.steps)} steps")
         steps.extend(cert.steps)

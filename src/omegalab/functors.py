@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits, submasks
+from .bitset import bits
 from .errors import ContractError, ParameterError, PreconditionError, ResourceError
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood, is_joined
 
@@ -154,9 +154,16 @@ def subdivision_path(res: FunctorResult, a: int, b: int) -> list[int]:
 def walk_power(g: Graph, k: int) -> Graph:
     """Same vertices; u ~ v iff some walk of length exactly k joins them."""
     _require_odd(k)
-    rows = g.adj
-    for _ in range(k - 1):
-        rows = tuple(_bool_mat_vec(rows, g.adj[v]) for v in range(g.n))
+    # rows of walks of lengths j-2, j-1, j; for j >= 1 the rows only grow from
+    # j to j+2 (step back and forth), so they settle into period 2
+    older, before, rows = None, None, g.adj
+    j = 1
+    while j < k and rows != older:
+        older, before = before, rows
+        rows = tuple(_bool_mat_vec(before, g.adj[v]) for v in range(g.n))
+        j += 1
+    if (k - j) % 2:
+        rows = before
     return Graph(g.n, rows)
 
 
@@ -176,7 +183,8 @@ def omega(g: Graph, k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Funct
     and consecutive components fully joined; all components nonempty.
     Enumeration is depth-first, extending by nonempty subsets of the common
     neighborhood in ascending bitmask order.  This enumeration order is the
-    canonical vertex order relied on by the Morse matchings.
+    canonical vertex order relied on by the Morse matchings.  Beyond index 7
+    a tuple counts as (k+1)/8 vertices against ``vertex_budget``.
     """
     _require_odd(k)
     if k == 1:
@@ -184,24 +192,29 @@ def omega(g: Graph, k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Funct
         index = {t: i for i, t in enumerate(tuples)}
         return FunctorResult(g, "omega", 1, g, tuples=tuples, tuple_index=index)
     depth = (k - 1) // 2
+    cap = vertex_budget * 4 // max(depth + 1, 4)  # a long tuple is several vertices
+    over = f"omega vertex budget {vertex_budget} exceeded at k={k}"
+    if cap < 1 and any(g.adj):
+        raise ResourceError(f"{over} (one tuple has {depth + 1} components)")
     tuples: list[OmegaTuple] = []
-
-    def extend(prefix: list[int], last: int) -> None:
-        if len(prefix) == depth + 1:
-            tuples.append(tuple(prefix))
-            if len(tuples) > vertex_budget:
-                raise ResourceError(
-                    f"omega vertex budget {vertex_budget} exceeded at k={k}"
-                )
-            return
-        cn = common_neighborhood(g, last)
-        for nxt in submasks(cn):
-            prefix.append(nxt)
-            extend(prefix, nxt)
-            prefix.pop()
-
     for v in range(g.n):
-        extend([1 << v], 1 << v)
+        # depth-first over one prefix: component i > 0 steps through the nonempty
+        # subsets of pools[i] in ascending order, x -> (x - m) & m
+        prefix, pools = [1 << v], [0]
+        while prefix:
+            if len(prefix) > depth:
+                tuples.append(tuple(prefix))
+                if len(tuples) > cap:
+                    raise ResourceError(f"{over} ({len(tuples)} tuples of {depth + 1} components)")
+            elif pool := common_neighborhood(g, prefix[-1]):  # empty only below an isolated head
+                pools.append(pool)
+                prefix.append(pool & -pool)
+                continue
+            while prefix and not (prefix[-1] - pools[-1]) & pools[-1]:
+                prefix.pop()
+                pools.pop()
+            if prefix:
+                prefix[-1] = (prefix[-1] - pools[-1]) & pools[-1]
 
     index = {t: i for i, t in enumerate(tuples)}
     n = len(tuples)
@@ -265,15 +278,15 @@ def omega_prime(
 ) -> FunctorResult:
     """Shortcut extension of omega(g, k), k odd >= 3."""
     _require_odd(k, minimum=3)
-    return shortcut(g, omega(g, k, vertex_budget))
+    base = omega(g, k, vertex_budget)
+    return shortcut(base, saturation_indices(g, base))
 
 
-def shortcut(g: Graph, base: FunctorResult) -> FunctorResult:
-    """Shortcut extension of an omega result of index >= 3: same vertices,
-    and for every edge {a, b} also edges from a and b to the saturated
-    partners."""
+def shortcut(base: FunctorResult, sat: list[int]) -> FunctorResult:
+    """Shortcut extension of an omega result of index >= 3, given its
+    ``saturation_indices``: same vertices, and for every edge {a, b} also
+    edges from a and b to the saturated partners."""
     _require_odd(base.k, minimum=3)
-    sat = saturation_indices(g, base)
     rows = list(base.graph.adj)
     for i in range(base.graph.n):
         for j in bits(base.graph.adj[i]):
@@ -284,7 +297,7 @@ def shortcut(g: Graph, base: FunctorResult) -> FunctorResult:
                 rows[y] |= 1 << x
     graph = Graph(base.graph.n, tuple(rows), base.graph.labels)
     return FunctorResult(
-        graph, "omega-prime", base.k, g, tuples=base.tuples, tuple_index=base.tuple_index
+        graph, "omega-prime", base.k, base.base, tuples=base.tuples, tuple_index=base.tuple_index
     )
 
 

@@ -56,6 +56,7 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
     nbrs = [[u for u in bits(g.adj[v]) if u != v] for v in range(n)]
     adj_h = h.adj
     nodes = 0
+    trail: list[tuple[int, int]] = []  # (variable, its domain before a change)
 
     def revise(u: int, w: int) -> bool:
         """Drop values of u without a supporting neighbor value at w."""
@@ -68,8 +69,11 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
             m ^= low
             if adj_h[low.bit_length() - 1] & dw:
                 new |= low
+        if new == du:
+            return False
+        trail.append((u, du))
         dom[u] = new
-        return new != du
+        return True
 
     def propagate(start: int) -> bool:
         queue = [(u, start) for u in nbrs[start]]
@@ -81,31 +85,29 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
                 queue.extend((x, u) for x in nbrs[u] if x != w)
         return True
 
-    def search(pos: int):
-        nonlocal nodes
-        if pos == n:
-            return Homomorphism(
-                g, h, tuple(dom[v].bit_length() - 1 for v in range(n))
-            )
+    # depth-first with an explicit stack of (position, untried values, trail
+    # length on reaching the position); undoing the trail restores the domains
+    stack = [(0, dom[order[0]], 0)]
+    while stack:
+        pos, untried, mark = stack.pop()
+        if not untried:
+            continue
+        low = untried & -untried
+        stack.append((pos, untried ^ low, mark))
+        nodes += 1
+        if nodes > cfg.node_budget:
+            raise ResourceError(f"search node budget {cfg.node_budget} exhausted")
+        while len(trail) > mark:
+            v, d = trail.pop()
+            dom[v] = d
         var = order[pos]
-        values = dom[var]
-        m = values
-        while m:
-            low = m & -m
-            m ^= low
-            nodes += 1
-            if nodes > cfg.node_budget:
-                raise ResourceError(f"search node budget {cfg.node_budget} exhausted")
-            saved = dom.copy()
-            dom[var] = low
-            if propagate(var):
-                found = search(pos + 1)
-                if found is not None:
-                    return found
-            dom[:] = saved
-        return None
-
-    return search(0)
+        trail.append((var, dom[var]))
+        dom[var] = low
+        if propagate(var):
+            if pos + 1 == n:
+                return Homomorphism(g, h, tuple(dom[v].bit_length() - 1 for v in range(n)))
+            stack.append((pos + 1, dom[order[pos + 1]], len(trail)))
+    return None
 
 
 def chromatic_number(g: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG) -> int:

@@ -10,10 +10,12 @@ complex remains, the one ``build_box`` builds for omega(G, 2k+1).
 Both parameterize by the half index k, acting on the functor of odd index
 2k+1.
 
-Every matching is checked by ``collapse`` before it is used: its pairs must
-be face/cofacet pairs that cover exactly the simplices outside the target,
-respect the shore swap of a free complex, and pass the acyclicity test.  A
-failure is a falsification signal, not an expected runtime event.
+Each property of a matching is checked once: a recipe's toggle must be an
+involution without fixed points; ``collapse`` checks face/cofacet pairs that
+cover exactly the simplices outside the target under the shore swap of a
+free complex, and a completed collapse proves acyclicity.  ``is_acyclic`` is
+the standalone check.  A failure is a falsification signal, not an expected
+runtime event.
 """
 
 from __future__ import annotations
@@ -60,28 +62,6 @@ class CollapseCertificate:
     remaining: frozenset[int]
 
 
-def _check_matching(
-    complex_: Z2Complex,
-    simplices: set[int],
-    sub: set[int],
-    matching: MorseMatching,
-    partner: dict[int, int],
-) -> None:
-    if not complex_.free:
-        raise ContractError("equivariant collapses need a free complex")
-    for a, b in matching.pairs:
-        if a.bit_count() + 1 != b.bit_count() or a & ~b:
-            raise ContractError("matching pair is not a face/cofacet pair")
-        if a not in simplices or b not in simplices:
-            raise ContractError("matching pair uses unknown simplices")
-        if a in sub or b in sub:
-            raise ContractError("matching touches the protected subcomplex")
-        if partner.get(complex_.mirror(a)) != complex_.mirror(b):
-            raise ContractError("matching is not equivariant")
-    if set(partner) != simplices - sub:
-        raise ContractError("matching does not cover the simplices outside the subcomplex")
-
-
 def is_acyclic(matching: MorseMatching) -> bool:
     """Check for directed cycles through alternating face/cofacet steps.
 
@@ -89,10 +69,9 @@ def is_acyclic(matching: MorseMatching) -> bool:
     different matched face of the same size; a cycle among those steps is
     exactly the forbidden pattern.
     """
-    return _is_acyclic(matching.partner(), {a for a, _ in matching.pairs})
+    partner = matching.partner()
+    lower_set = {a for a, _ in matching.pairs}
 
-
-def _is_acyclic(partner: dict[int, int], lower_set: set[int]) -> bool:
     def downsteps(low: int):
         up = partner[low]
         m = up
@@ -137,20 +116,31 @@ def collapse(
     """Run the matching as a sequence of equivariant elementary collapses.
 
     First checks the matching: face/cofacet pairs that cover exactly
-    ``simplices - sub``, closed under the shore swap of a free complex, and
-    acyclic.  At every step the removed cofacet is the unique simplex
+    ``simplices - sub`` and are closed under the shore swap of a free
+    complex.  At every step the removed cofacet is the unique simplex
     properly containing its face in the current complex; the mirror pair is
-    removed in the same step.  Ends exactly at ``sub`` or raises.
+    removed in the same step.  No face on a directed cycle ever becomes free,
+    so ending exactly at ``sub`` proves the matching acyclic; else raises.
     """
+    if not complex_.free:
+        raise ContractError("equivariant collapses need a free complex")
     partner = matching.partner()
-    _check_matching(complex_, simplices, sub, matching, partner)
-    lower_set = {a for a, _ in matching.pairs}
-    if not _is_acyclic(partner, lower_set):
-        raise ContractError("matching has a directed cycle; collapse refused")
+    for a, b in matching.pairs:
+        if a.bit_count() + 1 != b.bit_count() or a & ~b:
+            raise ContractError("matching pair is not a face/cofacet pair")
+        if a not in simplices or b not in simplices:
+            raise ContractError("matching pair uses unknown simplices")
+        if a in sub or b in sub:
+            raise ContractError("matching touches the protected subcomplex")
+        if partner.get(complex_.mirror(a)) != complex_.mirror(b):
+            raise ContractError("matching is not equivariant")
+    # every pair member lies in simplices - sub, so the sizes decide the cover
+    if not sub <= simplices or len(partner) != len(simplices) - len(sub):
+        raise ContractError("matching does not cover the simplices outside the subcomplex")
 
     alive = set(simplices)
 
-    counts: dict[int, int] = dict.fromkeys(lower_set, 0)
+    counts: dict[int, int] = {a: 0 for a, _ in matching.pairs}
     for s in alive:
         m = s
         while m:
@@ -193,7 +183,8 @@ def collapse(
 
     if alive != sub:
         raise ContractError(
-            f"collapse stuck: {len(alive) - len(sub)} matched simplices remain"
+            f"collapse stuck: {len(alive) - len(sub)} matched simplices remain; "
+            "the matching is cyclic or the target is not a subcomplex"
         )
     return CollapseCertificate(tuple(steps), frozenset(alive))
 
@@ -222,7 +213,8 @@ class ShortcutComplex:
         self.k = k
         self.simplex_budget = simplex_budget
         self.omega: FunctorResult = omega(g, 2 * k + 1, vertex_budget)
-        self.box: Z2Complex = build_box(shortcut(g, self.omega).graph)
+        sat = saturation_indices(g, self.omega)
+        self.box: Z2Complex = build_box(shortcut(self.omega, sat).graph)
         self.simplices: set[int] = self.box.simplices(simplex_budget)
         # shortcut edges touch only omega's non-isolated vertices: one layout
         self.plain: Z2Complex = build_box(self.omega.graph)
@@ -232,7 +224,6 @@ class ShortcutComplex:
         base = self.box.base  # positions -> vertex ids of the adjoint graph
         h = self.box.h
         pos_of = {v: p for p, v in enumerate(base)}
-        sat = saturation_indices(g, self.omega)
         tuples = self.omega.tuples
 
         self.tail = [tuples[v][-1] for v in base]
@@ -261,10 +252,6 @@ class ShortcutComplex:
     def plain_box_simplices(self) -> set[int]:
         """The simplices of the unmodified box complex, materialized once."""
         return self.plain.simplices(self.simplex_budget)
-
-    def saturated_subcomplex(self) -> set[int]:
-        keep = self.saturated_pos | self.box.mirror(self.saturated_pos)
-        return {s for s in self.simplices if s & ~keep == 0}
 
     # offending-simplex classification ----------------------------------------
 
@@ -303,11 +290,14 @@ def saturation_matching(sc: ShortcutComplex) -> tuple[MorseMatching, set[int]]:
     """Match every simplex containing an unsaturated vertex with its toggle
     by the saturated partner of the least such vertex.  Returns the matching
     and the protected subcomplex (simplices purely on saturated vertices)."""
-    sub = sc.saturated_subcomplex()
+    sub = set()
     toggle = {}
-    for s in sc.simplices - sub:
+    for s in sc.simplices:
         lo, hi = sc.box.split(s)
         union = (lo | hi) & ~sc.saturated_pos
+        if not union:
+            sub.add(s)
+            continue
         # least unsaturated vertex over both shores, in canonical order
         p = (union & -union).bit_length() - 1
         toggle[s] = s ^ (1 << sc.box.token(sc.sat_token[p], not (lo >> p & 1)))
@@ -380,11 +370,12 @@ def _toggle(sc: ShortcutComplex, s: int, p: int, shore: int, tail: int) -> int:
 
 def _toggle_matching(toggle: dict[int, int]) -> MorseMatching:
     """Pair each simplex of the domain (the keys) with its toggle, face
-    first; ``collapse`` checks that the pairs cover the domain exactly and
-    respect the shore swap."""
+    first; the toggle must be an involution without fixed points.
+    ``collapse`` checks the pairs themselves."""
     pairs = []
-    for s in sorted(toggle):
-        other = toggle[s]
+    for s, other in toggle.items():
+        if other == s or toggle.get(other) != s:
+            raise ContractError(f"toggle of {s:#x} is not an involution without fixed points")
         if s < other:
             pairs.append((s, other) if s.bit_count() < other.bit_count() else (other, s))
     return MorseMatching(tuple(pairs))

@@ -239,6 +239,25 @@ def test_file_errors_exit_one_without_traceback(tmp_path, graph_files, capsys, c
     assert code == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["functor", "omega", "-k", "2001", "-i", "{k2}", "-o", "{out}"],
+        ["morse", "-i", "{k2}", "-k", "1000"],
+        ["approx", "-i", "{k2}", "-k", "1000"],
+        ["functor", "pi", "-k", "1000000001", "-i", "{c5}", "-o", "{out}"],
+    ],
+    ids=["omega-2001", "morse-1000", "approx-1000", "pi-1000000001"],
+)
+def test_large_index_flags_finish(tmp_path, graph_files, capsys, argv):
+    k2 = tmp_path / "k2.graph"
+    k2.write_text(format_graph(clique(2)))
+    files = {"k2": k2, "c5": graph_files["c5"], "out": tmp_path / "out.graph"}
+    start = time.perf_counter()
+    code, _ = run_cli([a.format(**files) for a in argv], capsys)
+    assert code == 0 and time.perf_counter() - start < 2.0
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "omegalab.cli", "verify", "approx"],

@@ -1,9 +1,11 @@
+import random
+import time
 from itertools import combinations
 
 import pytest
 
 from omegalab.bitset import bits, mask_of
-from omegalab.errors import ContractError, ParameterError, PreconditionError
+from omegalab.errors import ContractError, ParameterError, PreconditionError, ResourceError
 from omegalab.functors import (
     Homomorphism,
     adjoint_witness_from_omega,
@@ -33,7 +35,7 @@ from omegalab.graphs import (
 )
 from omegalab.homsearch import hom_exists
 
-from util import is_isomorphic
+from util import is_isomorphic, random_graph
 
 
 def count_omega_vertices_bruteforce(g: Graph, k: int) -> int:
@@ -59,6 +61,23 @@ def walks_of_length(g: Graph, k: int) -> set[tuple[int, int]]:
     for _ in range(k - 1):
         pairs = {(u, w) for u, v in pairs for w in bits(g.adj[v])}
     return pairs
+
+
+def test_walk_power_matches_step_by_step_expansion():
+    rng = random.Random(1515)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.6), loop_p=0.1)
+        for k in range(1, 16, 2):
+            got = walk_power(g, k)
+            assert {(u, v) for u in range(g.n) for v in bits(got.adj[u])} == walks_of_length(g, k)
+
+
+def test_walk_power_huge_index_is_fast():
+    start = time.perf_counter()
+    got = walk_power(cycle_graph(5), 1_000_000_001)
+    assert time.perf_counter() - start < 1.0
+    assert same_adjacency(got, walk_power(cycle_graph(5), 5))
+    assert all(got.has_edge(u, v) for u in range(5) for v in range(5))
 
 
 def test_subdivide_examples():
@@ -140,6 +159,35 @@ def test_omega_budget():
 
     with pytest.raises(ResourceError):
         omega(clique(5), 5, vertex_budget=10)
+
+
+def test_omega_deep_index_has_no_recursion_limit():
+    deep = omega(clique(2), 2001)
+    assert deep.graph.n == 2 and deep.graph.edge_count() == 1
+    assert deep.tuples[0] == (0b01, 0b10) * 500 + (0b01,)
+
+
+def test_omega_deep_index_counts_components_against_the_budget():
+    # K3's tuple count grows exponentially with the index; at k = 2001 the
+    # budget stops the enumeration after about 4,000 tuples, not 10^6
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="3997 tuples of 1001 components"):
+        omega(clique(3), 2001)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "k, match",
+    [(200001, "40 tuples of 100001 components"), (10**13 + 1, "one tuple has")],
+    ids=["k200001", "k1e13"],
+)
+def test_omega_huge_index_stops_fast_in_little_memory(k, match):
+    # the enumeration keeps one prefix, so memory stays linear in the depth,
+    # and an index whose single tuple exceeds the budget is refused up front
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=match):
+        omega(clique(3), k)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_omega_enumeration_order_is_canonical():

@@ -91,3 +91,8 @@ def test_witness_file_roundtrip():
     text = format_witness(f)
     again = parse_witness(text, g, h)
     assert again.mapping == f.mapping
+
+
+def test_long_path_search_has_no_recursion_limit():
+    f = hom_exists(path_graph(1200), clique(2))
+    assert f is not None and f.mapping[:4] == (1, 0, 1, 0)

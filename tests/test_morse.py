@@ -9,11 +9,13 @@ from omegalab.homology import betti_mod2
 from omegalab.morse import (
     MorseMatching,
     ShortcutComplex,
+    _toggle_matching,
     collapse,
     is_acyclic,
     pipeline,
     removal_phases,
     saturation_matching,
+    shortcut_collapses,
 )
 
 from util import (
@@ -229,3 +231,53 @@ def test_is_acyclic_agrees_with_oracle_on_random_matchings():
         else:
             cyclic_seen += 1
     assert acyclic_seen > 0 and cyclic_seen > 0
+
+
+def test_collapse_refuses_cyclic_random_matchings_in_its_heap_loop():
+    # the target is the unmatched part and the pairs come in mirror pairs, so
+    # the preflight checks pass and only the heap loop stands between a cyclic
+    # matching and a completed collapse.  An acyclic matching may still stick
+    # here, since its unmatched part need not be a subcomplex; the converse,
+    # that acyclic matchings onto a subcomplex complete, is
+    # test_engine_against_random_collapses.
+    rng = random.Random(6006)
+    cyclic = completed = 0
+    for _ in range(300):
+        k = random_free_complex(rng, max_shore=5)
+        matching = MorseMatching(random_equivariant_matching(rng, k).pairs[:12])
+        simplices = set(k.simplices())
+        sub = simplices - matching.matched()
+        if not acyclic_oracle(matching):
+            cyclic += 1
+            with pytest.raises(ContractError, match="collapse stuck"):
+                collapse(k, simplices, sub, matching)
+            continue
+        try:
+            collapse(k, simplices, sub, matching)
+        except ContractError as err:
+            assert str(err).startswith("collapse stuck")
+            continue
+        completed += 1
+    assert cyclic > 0 and completed > 0
+
+
+def test_toggle_matching_refuses_non_involutions():
+    with pytest.raises(ContractError, match="involution"):
+        _toggle_matching({1: 3, 3: 2, 2: 6, 6: 2})
+    with pytest.raises(ContractError, match="involution"):
+        _toggle_matching({1: 1})
+    assert _toggle_matching({1: 3, 3: 1}).pairs == ((1, 3),)
+
+
+def test_shortcut_collapses_on_random_graphs():
+    rng = random.Random(2024)
+    built = 0
+    for _ in range(250):
+        g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
+        try:
+            sc = ShortcutComplex(g, rng.choice((1, 2)), vertex_budget=200, simplex_budget=5000)
+        except ResourceError:
+            continue
+        shortcut_collapses(sc)
+        built += 1
+    assert built >= 150
