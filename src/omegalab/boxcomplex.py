@@ -3,11 +3,17 @@
 Tokens of a complex are laid out as all white-shore copies first, then all
 black-shore copies, so the involution is a half-shift: token t mirrors to
 t +- h where h is the shore size.  Simplices are int bitmasks over tokens.
+A materialized complex is a ``FaceTable`` (dense ids and boundaries, which
+the collapses and the homology share) and its simplex sets are ``Faces``
+drawn from it.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .bitset import bits, mask_of
 from .errors import ContractError, ParameterError, ParseError, ResourceError
@@ -15,6 +21,126 @@ from .functors import Homomorphism
 from .graphs import Graph, common_neighborhood
 
 DEFAULT_SIMPLEX_BUDGET = 10**7
+
+
+class FaceTable:
+    """Faces sorted by mask value, with dense ids in that order.
+
+    ``masks[i]`` is face i and ``index`` inverts it.  ``boundary()`` gives
+    every face's codimension-1 faces as ids, in flat CSR form: those of face
+    i are ``ids[offsets[i]:offsets[i + 1]]``.  A face whose codimension-1
+    faces are not all in the table keeps the ones that are; ``closed``, set
+    with the boundary, says whether none was missing.  Ids in mask order make
+    a heap of ids pop in mask order.
+    """
+
+    __slots__ = ("masks", "index", "closed", "_boundary")
+
+    def __init__(self, masks: Iterable[int]):
+        self.masks = sorted(masks)  # distinct masks
+        self.index = {m: i for i, m in enumerate(self.masks)}
+        self.closed: bool | None = None
+        self._boundary: tuple[array, array] | None = None
+
+    def boundary(self) -> tuple[array, array]:
+        """``(offsets, ids)`` of every face's codimension-1 faces, built once."""
+        if self._boundary is None:
+            get = self.index.get
+            offsets = array("i", [0])
+            ids = array("i")
+            closed = True
+            for s in self.masks:
+                if s & (s - 1):  # a vertex's only facet is empty, and so no face
+                    m = s
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        f = get(s ^ low)
+                        if f is None:
+                            closed = False
+                        else:
+                            ids.append(f)
+                offsets.append(len(ids))
+            self.closed = closed
+            self._boundary = offsets, ids
+        return self._boundary
+
+    def faces(self, masks: Iterable[int] | None = None) -> Faces:
+        """All faces of the table, or the members of ``masks`` that are in it."""
+        if masks is None:
+            return Faces(self, b"\x01" * len(self.masks))
+        flags = bytearray(len(self.masks))
+        for m in masks:
+            i = self.index.get(m)
+            if i is not None:
+                flags[i] = 1
+        return Faces(self, flags)
+
+
+class Faces(Set):
+    """An immutable set of face masks drawn from a ``FaceTable``: one flag
+    byte per id.  ``-`` works on the flags and keeps the table; the other
+    set operations work as for any set."""
+
+    __slots__ = ("table", "flags", "_len")
+
+    def __init__(self, table: FaceTable, flags: bytes | bytearray):
+        self.table = table
+        self.flags = bytes(flags)
+        self._len = self.flags.count(1)
+
+    @classmethod
+    def of(cls, masks: Iterable[int]) -> Faces:
+        """``masks`` itself if drawn from a table, else a new table's faces."""
+        if isinstance(masks, Faces):
+            return masks
+        return FaceTable(masks if isinstance(masks, (set, frozenset)) else set(masks)).faces()
+
+    @classmethod
+    def _from_iterable(cls, it) -> set[int]:
+        return set(it)
+
+    def __contains__(self, mask) -> bool:
+        i = self.table.index.get(mask)
+        return i is not None and self.flags[i] == 1
+
+    def __iter__(self):
+        return compress(self.table.masks, self.flags)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def ids(self):
+        """The members' ids, ascending."""
+        return compress(range(len(self.flags)), self.flags)
+
+    def drawn(self, other: Iterable[int]) -> Faces:
+        """The members of ``other`` that are faces of this table, drawn from it."""
+        if isinstance(other, Faces) and other.table is self.table:
+            return other
+        return self.table.faces(other)
+
+    def __sub__(self, other):
+        if not isinstance(other, Iterable):
+            return NotImplemented
+        a = int.from_bytes(self.flags, "little")
+        b = int.from_bytes(self.drawn(other).flags, "little")
+        return Faces(self.table, (a & ~b).to_bytes(len(self.flags), "little"))
+
+    __hash__ = Set._hash
+
+    def is_closed(self) -> bool:
+        """True iff every codimension-1 face of a member is a member."""
+        offsets, ids = self.table.boundary()
+        if self._len == len(self.flags):
+            return self.table.closed
+        flags, masks = self.flags, self.table.masks
+        for i in self.ids():
+            s = masks[i]
+            found = sum(flags[f] for f in ids[offsets[i] : offsets[i + 1]])
+            if found != (s.bit_count() if s & (s - 1) else 0):
+                return False
+        return True
 
 
 @dataclass
@@ -31,7 +157,7 @@ class Z2Complex:
     base: tuple[int, ...]
     facets: tuple[int, ...]
     free: bool
-    _faces: set[int] | None = field(default=None, repr=False, compare=False)
+    _faces: Faces | None = field(default=None, repr=False, compare=False)
     h: int = field(init=False, repr=False, compare=False)
     # mask of the white tokens, which is also the mask of all shore positions
     white: int = field(init=False, repr=False, compare=False)
@@ -67,8 +193,8 @@ class Z2Complex:
             return False
         return any(mask & ~f == 0 for f in self.facets)
 
-    def simplices(self, budget: int = DEFAULT_SIMPLEX_BUDGET) -> set[int]:
-        """All faces of all facets, materialized once and cached."""
+    def simplices(self, budget: int = DEFAULT_SIMPLEX_BUDGET) -> Faces:
+        """All faces of all facets, materialized once into a face table."""
         if self._faces is None:
             seen: set[int] = set()
             stack = list(self.facets)
@@ -86,7 +212,7 @@ class Z2Complex:
                     child = s ^ low
                     if child and child not in seen:
                         stack.append(child)
-            self._faces = seen
+            self._faces = Faces.of(seen)
         return self._faces
 
     def validate(self) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .bitset import bits
 from .errors import ContractError, ParameterError, PreconditionError, ResourceError
-from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood, is_joined
+from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood
 
 OmegaTuple = tuple[int, ...]
 
@@ -217,25 +217,86 @@ def omega(g: Graph, k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Funct
                 prefix[-1] = (prefix[-1] - pools[-1]) & pools[-1]
 
     index = {t: i for i, t in enumerate(tuples)}
-    n = len(tuples)
-    rows = [0] * n
-    for i in range(n):
-        ti = tuples[i]
-        # i == j covers loops, which arise iff the base graph has them
-        for j in range(i, n):
-            if _omega_adjacent(g, ti, tuples[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
     labels = tuple(omega_label(t) for t in tuples)
-    graph = Graph(n, tuple(rows), labels)
+    graph = Graph(len(tuples), _omega_rows(g, tuples, depth), labels)
     return FunctorResult(graph, "omega", k, g, tuples=tuple(tuples), tuple_index=index)
 
 
-def _omega_adjacent(g: Graph, a: OmegaTuple, b: OmegaTuple) -> bool:
-    for i in range(1, len(a)):
-        if a[i - 1] & ~b[i] or b[i - 1] & ~a[i]:
-            return False
-    return is_joined(g, a[-1], b[-1])
+def _omega_rows(g: Graph, tuples: list[OmegaTuple], depth: int) -> tuple[int, ...]:
+    """Adjacency rows of the omega tuples: b ~ a iff the tails are joined,
+    b[-1] <= CN(a[-1]), and b[i] >= a[i-1] and b[i-1] <= a[i] for every
+    i >= 1.  A loop at a tuple arises iff the base graph has loops.
+
+    With holder sets (see ``_holder_sets``) a row starts full and each
+    condition, from the tail down, is an AND of one holder set or its
+    complement per vertex it names; once the row has no more candidates
+    than that, they are tested one pair at a time.  Without them every pair
+    j <= m is tested once.  Either way only the rows, the tuples and at most
+    as much again in holder sets are alive."""
+    n = len(tuples)
+    rows = [0] * n
+    sets = _holder_sets(tuples, depth)
+    for j, a in enumerate(tuples):
+        joined = common_neighborhood(g, a[-1])
+        if sets is None:
+            row = _settle(tuples, a, range(j, n), depth, joined)
+            rows[j] |= row
+            for m in bits(row >> (j + 1)):
+                rows[j + 1 + m] |= 1 << j
+            continue
+        used, holders = sets
+        row = (1 << n) - 1
+        for v in bits(used[depth] & ~joined):
+            row &= ~holders[depth][v]
+        for i in range(depth, 0, -1):
+            if row.bit_count() <= a[i - 1].bit_count() + (used[i - 1] & ~a[i]).bit_count():
+                row = _settle(tuples, a, bits(row), i, -1)
+                break
+            for v in bits(a[i - 1]):
+                row &= holders[i].get(v, 0)
+            for v in bits(used[i - 1] & ~a[i]):
+                row &= ~holders[i - 1][v]
+        rows[j] = row
+    return tuple(rows)
+
+
+def _holder_sets(tuples: list[OmegaTuple], depth: int):
+    """Per component i, the union ``used[i]`` of component i over all tuples
+    and ``holders[i][v]``, the set of tuples whose component i contains v,
+    for v in ``used[i]``; or None when these n-bit sets would take more
+    memory than the tuples' own component pointers, as for a few long
+    tuples or components spread over many vertices."""
+    n = len(tuples)
+    used = [0] * (depth + 1)
+    for t in tuples:
+        for i, comp in enumerate(t):
+            used[i] |= comp
+    # an n-bit set plus its dict entry, against 8 bytes per component pointer
+    if sum(u.bit_count() for u in used) * (n // 8 + 64) > 8 * n * (depth + 1):
+        return None
+    holders = []
+    for i in range(depth + 1):
+        per_vertex = {v: bytearray(n // 8 + 1) for v in bits(used[i])}
+        for j, t in enumerate(tuples):
+            for v in bits(t[i]):
+                per_vertex[v][j >> 3] |= 1 << (j & 7)
+        holders.append({v: int.from_bytes(h, "little") for v, h in per_vertex.items()})
+    return used, holders
+
+
+def _settle(tuples: list[OmegaTuple], a: OmegaTuple, candidates, top: int, joined: int) -> int:
+    """The set of candidates b with b[-1] <= ``joined`` that nest with ``a``
+    at every step i <= ``top``, tested one pair at a time."""
+    row = 0
+    for m in candidates:
+        b, i = tuples[m], top
+        fails = b[-1] & ~joined
+        while not fails and i:
+            fails = a[i - 1] & ~b[i] or b[i - 1] & ~a[i]
+            i -= 1
+        if not fails:
+            row |= 1 << m
+    return row
 
 
 def omega_label(tup: OmegaTuple) -> str:

@@ -16,15 +16,27 @@ cover exactly the simplices outside the target under the shore swap of a
 free complex, and a completed collapse proves acyclicity.  ``is_acyclic`` is
 the standalone check.  A failure is a falsification signal, not an expected
 runtime event.
+
+All four collapses and the shortcut complex's Betti vector read one face
+table (``boxcomplex.FaceTable``), built once when ``ShortcutComplex``
+materializes its simplices: dense ids in mask order and every face's
+codimension-1 faces as ids.  The removal-phase domains, each collapse's
+target and the faces a collapse leaves are flag sets over those ids, and
+``collapse`` keeps alive flags, cofacet counts and partners per id.  Ids in
+mask order make its heap pop faces in the order a heap of masks would, so
+the certificates are those of a collapse on masks.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from itertools import compress
 
 from .bitset import bits, mask_of
-from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, Z2Complex, build_box
+from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, Faces, Z2Complex, build_box
 from .errors import ContractError, ParameterError
 from .functors import FunctorResult, omega, saturation_indices, shortcut
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood
@@ -59,7 +71,7 @@ class CollapseCertificate:
     """Ordered elementary collapses; mirror removals appear as their own steps."""
 
     steps: tuple[tuple[int, int], ...]
-    remaining: frozenset[int]
+    remaining: Faces
 
 
 def is_acyclic(matching: MorseMatching) -> bool:
@@ -109,8 +121,8 @@ def is_acyclic(matching: MorseMatching) -> bool:
 
 def collapse(
     complex_: Z2Complex,
-    simplices: set[int],
-    sub: set[int],
+    simplices: AbstractSet[int],
+    sub: AbstractSet[int],
     matching: MorseMatching,
 ) -> CollapseCertificate:
     """Run the matching as a sequence of equivariant elementary collapses.
@@ -121,72 +133,98 @@ def collapse(
     properly containing its face in the current complex; the mirror pair is
     removed in the same step.  No face on a directed cycle ever becomes free,
     so ending exactly at ``sub`` proves the matching acyclic; else raises.
+
+    Works on the ids of the face table ``simplices`` is drawn from (a new
+    table when it is a plain set): alive flags, cofacet counts and partners
+    per id, and a heap of ids, which pops in mask order.  The remaining
+    faces are drawn from the same table.
     """
     if not complex_.free:
         raise ContractError("equivariant collapses need a free complex")
-    partner = matching.partner()
+    simplices = Faces.of(simplices)
+    table = simplices.table
+    masks, index = table.masks, table.index
+    n = len(masks)
+
+    # the matching on ids; a pair with a member outside the table is kept by
+    # mask in ``strays`` (it fails the unknown-simplex check below)
+    partner = array("i", [-1]) * n
+    strays: dict[int, int] = {}
+
+    def partner_of(mask: int) -> int | None:
+        if mask in strays:
+            return strays[mask]
+        i = index.get(mask)
+        return None if i is None or partner[i] < 0 else masks[partner[i]]
+
+    matched = 0
+    for a, b in matching.pairs:
+        if partner_of(a) is not None or partner_of(b) is not None:
+            raise ContractError("a simplex appears in two matching pairs")
+        ia, ib = index.get(a), index.get(b)
+        if ia is None or ib is None:
+            strays[a], strays[b] = b, a
+        else:
+            partner[ia], partner[ib] = ib, ia
+        matched += 1 if a == b else 2
+
+    inside = simplices.drawn(sub)
+    known, protected = simplices.flags, inside.flags
+    lower = bytearray(n)
     for a, b in matching.pairs:
         if a.bit_count() + 1 != b.bit_count() or a & ~b:
             raise ContractError("matching pair is not a face/cofacet pair")
-        if a not in simplices or b not in simplices:
+        ia, ib = index.get(a), index.get(b)
+        if ia is None or ib is None or not (known[ia] and known[ib]):
             raise ContractError("matching pair uses unknown simplices")
-        if a in sub or b in sub:
+        if protected[ia] or protected[ib]:
             raise ContractError("matching touches the protected subcomplex")
-        if partner.get(complex_.mirror(a)) != complex_.mirror(b):
+        if partner_of(complex_.mirror(a)) != complex_.mirror(b):
             raise ContractError("matching is not equivariant")
+        lower[ia] = 1
     # every pair member lies in simplices - sub, so the sizes decide the cover
-    if not sub <= simplices or len(partner) != len(simplices) - len(sub):
+    if len(inside) != len(sub) or not inside <= simplices or matched != len(simplices) - len(sub):
         raise ContractError("matching does not cover the simplices outside the subcomplex")
 
-    alive = set(simplices)
-
-    counts: dict[int, int] = {a: 0 for a, _ in matching.pairs}
-    for s in alive:
-        m = s
-        while m:
-            bit = m & -m
-            m ^= bit
-            face = s ^ bit
-            if face in counts:
-                counts[face] += 1
-
-    heap = [low for low, c in counts.items() if c == 1]
+    offsets, ids = table.boundary()
+    alive = bytearray(simplices.flags)
+    counts = [0] * n  # alive cofacets per face
+    for s in simplices.ids():
+        for f in ids[offsets[s] : offsets[s + 1]]:
+            counts[f] += 1
+    heap = [low for low in compress(range(n), lower) if counts[low] == 1]
     heapq.heapify(heap)
     steps: list[tuple[int, int]] = []
 
     def remove(s: int) -> None:
-        alive.discard(s)
-        m = s
-        while m:
-            bit = m & -m
-            m ^= bit
-            face = s ^ bit
-            c = counts.get(face)
-            if c is not None:
-                counts[face] = c - 1
-                if c - 1 == 1 and face in alive:
-                    heapq.heappush(heap, face)
+        alive[s] = 0
+        for f in ids[offsets[s] : offsets[s + 1]]:
+            c = counts[f] - 1
+            counts[f] = c
+            if c == 1 and lower[f] and alive[f]:
+                heapq.heappush(heap, f)
 
     while heap:
         low = heapq.heappop(heap)
-        if low not in alive or counts[low] != 1:
+        if not alive[low] or counts[low] != 1:
             continue
         up = partner[low]
-        mlow = complex_.mirror(low)
-        mup = complex_.mirror(up)
+        mlow = index[complex_.mirror(masks[low])]
+        mup = index[complex_.mirror(masks[up])]
         if counts[mlow] != 1:  # only when simplices or sub is not swap-symmetric
             raise ContractError("mirror step is not an elementary collapse")
         for s in (low, up, mlow, mup):
             remove(s)
-        steps.append((low, up))
-        steps.append((mlow, mup))
+        steps.append((masks[low], masks[up]))
+        steps.append((masks[mlow], masks[mup]))
 
-    if alive != sub:
+    remaining = Faces(table, alive)
+    if remaining != inside:
         raise ContractError(
-            f"collapse stuck: {len(alive) - len(sub)} matched simplices remain; "
+            f"collapse stuck: {len(remaining) - len(sub)} matched simplices remain; "
             "the matching is cyclic or the target is not a subcomplex"
         )
-    return CollapseCertificate(tuple(steps), frozenset(alive))
+    return CollapseCertificate(tuple(steps), remaining)
 
 
 # -- the shortcut-complex machinery -------------------------------------------
@@ -215,7 +253,7 @@ class ShortcutComplex:
         self.omega: FunctorResult = omega(g, 2 * k + 1, vertex_budget)
         sat = saturation_indices(g, self.omega)
         self.box: Z2Complex = build_box(shortcut(self.omega, sat).graph)
-        self.simplices: set[int] = self.box.simplices(simplex_budget)
+        self.simplices: Faces = self.box.simplices(simplex_budget)
         # shortcut edges touch only omega's non-isolated vertices: one layout
         self.plain: Z2Complex = build_box(self.omega.graph)
         if self.plain.base != self.box.base:
@@ -249,7 +287,7 @@ class ShortcutComplex:
             self.join_tail_tail.append(row_tt)
             self.join_tail_subtail.append(row_ts)
 
-    def plain_box_simplices(self) -> set[int]:
+    def plain_box_simplices(self) -> Faces:
         """The simplices of the unmodified box complex, materialized once."""
         return self.plain.simplices(self.simplex_budget)
 
@@ -314,37 +352,41 @@ def removal_phases(sc: ShortcutComplex):
     Returns a list of (matching, domain) in collapse order; the domains
     partition the simplices outside the unmodified box complex.
     """
-    plain = sc.plain_box_simplices()
+    capped: dict[tuple[int, int], int] = {}  # one capped tail per (mine, other & ~saturated)
     toggles: tuple[dict[int, int], ...] = ({}, {}, {})  # per phase: simplex -> partner
-    for s in sc.simplices:
-        if s in plain:
-            continue
+    for s in sc.simplices - sc.plain_box_simplices():
         if (offense := sc.same_shore_offense(s, require_unsaturated=True)) is not None:
-            phase, new_tail = 0, _capped_tail
+            phase = 0
         elif (offense := sc.same_shore_offense(s, require_unsaturated=False)) is not None:
-            phase, new_tail = 1, _capped_tail
+            phase = 1
         elif (offense := sc.cross_shore_offense(s)) is not None:
-            phase, new_tail = 2, _pooled_tail
+            phase = 2
         else:
             raise ContractError(f"extra simplex {s:#x} matches no phase")
         p, _q, shore = offense
         lo, hi = sc.box.split(s)
         mine, other = (lo, hi) if shore == 0 else (hi, lo)
-        toggles[phase][s] = _toggle(sc, s, p, shore, new_tail(sc, mine, other))
-    return [(_toggle_matching(toggle), set(toggle)) for toggle in toggles]
+        if phase == 2:
+            tail = _pooled_tail(sc, other)
+        elif (tail := capped.get(key := (mine, other & ~sc.saturated_pos))) is None:
+            tail = capped[key] = _capped_tail(sc, *key)
+        toggles[phase][s] = _toggle(sc, s, p, shore, tail)
+    return [(_toggle_matching(toggle), sc.simplices.drawn(toggle)) for toggle in toggles]
 
 
-def _capped_tail(sc: ShortcutComplex, mine: int, other: int) -> int:
-    """Common neighborhood of the pooled shore sets (phases 1 and 2)."""
+def _capped_tail(sc: ShortcutComplex, mine: int, unsaturated: int) -> int:
+    """Common neighborhood of the pooled shore sets (phases 1 and 2): the
+    subtails of this shore and the tails of the other shore's unsaturated
+    positions."""
     pooled = 0
     for r in bits(mine):
         pooled |= sc.subtail[r]
-    for r in bits(other & ~sc.saturated_pos):
+    for r in bits(unsaturated):
         pooled |= sc.tail[r]
     return common_neighborhood(sc.g, pooled)
 
 
-def _pooled_tail(sc: ShortcutComplex, mine: int, other: int) -> int:
+def _pooled_tail(sc: ShortcutComplex, other: int) -> int:
     """Union of the other shore's subtails (phase 3)."""
     pooled = 0
     for r in bits(other):
@@ -416,6 +458,11 @@ def pipeline(
     sc = ShortcutComplex(g, k, vertex_budget, simplex_budget)
     (_, cert52), phases = shortcut_collapses(sc)
     sat_sub = cert52.remaining
+    collapse_steps = {
+        "saturation": len(cert52.steps),
+        "phases": [len(cert.steps) for _, cert in phases],
+    }
+    del cert52, phases  # the homology below needs none of the steps or pairs
     plain = sc.plain_box_simplices()
 
     betti_shortcut = betti_mod2(sc.simplices, simplex_budget)
@@ -430,10 +477,7 @@ def pipeline(
         "half_index": k,
         "adjoint_vertices": sc.omega.graph.n,
         "simplices": len(sc.simplices),
-        "collapse_steps": {
-            "saturation": len(cert52.steps),
-            "phases": [len(cert.steps) for _, cert in phases],
-        },
+        "collapse_steps": collapse_steps,
         "betti": {
             "shortcut": list(betti_shortcut),
             "plain": list(betti_plain),

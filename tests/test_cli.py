@@ -107,6 +107,9 @@ MORSE_CERTIFICATE_SHA256 = {
     ("c5", "52"): "2f84db6a17003ce1cd679e8345135a08536cbfc8f40b4b2bf53753d5cc388b37",
     ("c5", "54"): "c8fb41df6e4f0277eb4b91c1ac4d9ead999f98e7445e245ee30fca053b6cf792",
     ("c5", "both"): "f403210a6f1af2337744760d9db1fdffef42d16c10221db25f99cb3dc8d4ac1a",
+    ("k4", "52"): "1244a59c0ba8524d8dc1f3bf91fe7dc76420a2cfc8eab19953de2ff14ba4c0ce",
+    ("k4", "54"): "8481333f9f51b2ae3baa7445cf8ce7a98117ba3cdd8b822de6b882050c90be32",
+    ("k4", "both"): "e0715553d0c71717a417f0a700e941766dfb7fd8f3352b710a7575d420609d50",
 }
 
 

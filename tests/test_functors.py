@@ -7,6 +7,7 @@ import pytest
 from omegalab.bitset import bits, mask_of
 from omegalab.errors import ContractError, ParameterError, PreconditionError, ResourceError
 from omegalab.functors import (
+    _holder_sets,
     Homomorphism,
     adjoint_witness_from_omega,
     adjoint_witness_to_omega,
@@ -35,7 +36,7 @@ from omegalab.graphs import (
 )
 from omegalab.homsearch import hom_exists
 
-from util import is_isomorphic, random_graph
+from util import is_isomorphic, omega_adjacent_oracle, random_graph
 
 
 def count_omega_vertices_bruteforce(g: Graph, k: int) -> int:
@@ -188,6 +189,56 @@ def test_omega_huge_index_stops_fast_in_little_memory(k, match):
     with pytest.raises(ResourceError, match=match):
         omega(clique(3), k)
     assert time.perf_counter() - start < 2.0
+
+
+def test_omega_adjacency_matches_pairwise_oracle():
+    # seeded random graphs with loops, and named graphs, at k = 3, 5, 7: every
+    # pair of tuples, i == j included, against the definition
+    rng = random.Random(9090)
+    graphs = [random_graph(rng, rng.randint(1, 5), rng.uniform(0.3, 0.9), 0.3) for _ in range(30)]
+    graphs += [clique(4), cycle_graph(5), Graph.from_edges(2, [(0, 0), (0, 1)])]
+    checked = looped = by_holders = 0
+    for g in graphs:
+        for k in (3, 5, 7):
+            try:
+                o = omega(g, k, vertex_budget=250)
+            except ResourceError:
+                continue
+            t = o.tuples
+            for i in range(o.graph.n):
+                expect = mask_of(j for j in range(o.graph.n) if omega_adjacent_oracle(g, t[i], t[j]))
+                assert o.graph.adj[i] == expect, (g.adj, k, i)
+            checked += 1
+            looped += o.graph.has_loops()
+            by_holders += _holder_sets(list(t), (k - 1) // 2) is not None
+    # both ways of building the rows are exercised
+    assert checked >= 60 and looped >= 10 and 10 <= by_holders <= checked - 10
+
+
+def test_omega_deep_index_on_many_vertices_matches_pairwise_oracle():
+    # a few long tuples over many vertices: the isolated vertices hold no
+    # tuple, and a perfect matching's 100 tuples are settled pair by pair,
+    # so neither allocates a set per (component, vertex)
+    for g, k, n in [
+        (Graph.from_edges(1002, [(0, 1)]), 20001, 2),
+        (Graph.from_edges(100, [(2 * i, 2 * i + 1) for i in range(50)]), 2001, 100),
+    ]:
+        start = time.perf_counter()
+        o = omega(g, k)
+        assert time.perf_counter() - start < 2.0
+        t = o.tuples
+        assert o.graph.n == n and o.graph.edge_count() == n // 2
+        assert _holder_sets(list(t), (k - 1) // 2) is None
+        for i in range(n):
+            assert o.graph.adj[i] == mask_of(j for j in range(n) if omega_adjacent_oracle(g, t[i], t[j]))
+
+
+def test_omega_moderate_index_adjacency_is_fast():
+    # 13,828 tuples: the pairwise loop took about 44 s here
+    start = time.perf_counter()
+    o = omega(clique(4), 11)
+    assert o.graph.n == 13828
+    assert time.perf_counter() - start < 5.0
 
 
 def test_omega_enumeration_order_is_canonical():

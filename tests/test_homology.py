@@ -1,6 +1,10 @@
 import random
 
-from omegalab.boxcomplex import build_box
+import pytest
+
+from omegalab.bitset import bits
+from omegalab.boxcomplex import Faces, build_box
+from omegalab.errors import ContractError, ResourceError
 from omegalab.functors import omega
 from omegalab.graphs import clique, cycle_graph, tensor_product
 from omegalab.homology import (
@@ -11,7 +15,7 @@ from omegalab.homology import (
     euler_of_complex,
 )
 
-from util import betti_oracle, component_count, random_free_complex
+from util import betti_oracle, component_count, random_free_complex, random_graph
 
 
 def full_simplex_faces(n):
@@ -84,18 +88,86 @@ def test_adjoint_box_betti_matches_base():
 
 
 def test_boundary_squares_to_zero():
-    from omegalab.homology import _by_dimension, boundary_columns
+    # the face table's boundary: face i's codimension-1 faces, as ids
+    faces = build_box(clique(4)).simplices()
+    table = faces.table
+    offsets, ids = table.boundary()
+    assert table.closed and len(faces) == len(table.masks)
+    for i, s in enumerate(table.masks):
+        facets = ids[offsets[i] : offsets[i + 1]]
+        expect = {s ^ (1 << t) for t in bits(s)} if s.bit_count() > 1 else set()
+        assert sorted(table.masks[f] for f in facets) == sorted(expect)
+        acc = 0
+        for f in facets:
+            for g in ids[offsets[f] : offsets[f + 1]]:
+                acc ^= 1 << g
+        assert acc == 0
 
-    faces = sorted(build_box(clique(4)).simplices())
-    levels = _by_dimension(faces)
-    for d in range(2, len(levels)):
-        upper = boundary_columns(levels[d - 1], levels[d])
-        lower = boundary_columns(levels[d - 2], levels[d - 1])
-        for col in upper:
-            acc = 0
-            m = col
-            while m:
-                low = m & -m
-                m ^= low
-                acc ^= lower[low.bit_length() - 1]
-            assert acc == 0
+
+def test_betti_against_dense_oracle_on_random_complexes():
+    # the table-driven elimination with clearing against numpy row reduction
+    rng = random.Random(20240)
+    for _ in range(220):
+        faces = random_free_complex(rng, max_shore=7).simplices()
+        assert betti_mod2(faces) == betti_oracle(faces)
+        assert betti_mod2(set(faces)) == betti_oracle(faces)
+
+
+def test_betti_against_dense_oracle_on_looped_box_complexes():
+    # box complexes of graphs with loops are not free: a face may hold both
+    # copies of a vertex
+    rng = random.Random(31337)
+    non_free = 0
+    for _ in range(60):
+        k = build_box(random_graph(rng, rng.randint(1, 6), rng.uniform(0.3, 0.9), 0.4))
+        faces = k.simplices()
+        if not faces:
+            continue
+        non_free += not k.free
+        assert betti_mod2(faces) == betti_oracle(faces)
+    assert non_free >= 20
+
+
+def test_betti_of_a_subset_drawn_from_a_table():
+    # a subcomplex read through the big table's ids and rows: the faces of
+    # the first facet of B(K4) and their mirrors
+    faces = build_box(clique(4)).simplices()
+    f = max(faces)
+    sub = faces.table.faces(s for s in faces if s & ~f == 0)
+    assert len(sub) == 2 ** f.bit_count() - 1 and sub.table is faces.table
+    assert betti_mod2(sub) == betti_oracle(set(sub)) == (1,)
+
+
+def test_betti_budget_is_checked_before_boundary_work():
+    faces = build_box(clique(4)).simplices()
+    with pytest.raises(ResourceError, match="homology budget"):
+        betti_mod2(faces, budget=len(faces) - 1)
+    fresh = build_box(cycle_graph(5)).simplices()
+    with pytest.raises(ResourceError, match="homology budget"):
+        betti_mod2(fresh, budget=len(fresh) - 1)
+    assert fresh.table.closed is None  # no boundary was built
+    assert betti_mod2(faces, budget=len(faces)) == (1, 0, 1)
+
+
+def test_betti_refuses_sets_missing_a_face():
+    with pytest.raises(ContractError, match="every face"):
+        betti_mod2([0b11, 0b01])
+    faces = build_box(clique(3)).simplices()
+    edge = next(s for s in faces if s.bit_count() == 2)
+    with pytest.raises(ContractError, match="every face"):
+        betti_mod2(faces - {edge & -edge})
+
+
+def test_faces_behave_as_a_set():
+    faces = build_box(clique(3)).simplices()
+    plain = set(faces)
+    assert list(faces) == sorted(plain) and len(faces) == len(plain)
+    some = {s for s in plain if s.bit_count() == 1}
+    rest = faces - some
+    assert isinstance(rest, Faces) and rest.table is faces.table
+    assert rest == plain - some and plain - some == rest and rest != faces
+    assert rest <= faces and not faces <= rest and rest <= plain
+    assert set(rest) == plain - some and plain - rest == some
+    assert all(s in faces for s in plain) and 0 not in faces and (1 << 40) not in faces
+    assert faces - (faces - some) == Faces.of(some)
+    assert hash(rest) == hash(frozenset(rest))

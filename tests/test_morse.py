@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from omegalab.boxcomplex import make_complex
+from omegalab.boxcomplex import Faces, make_complex
 from omegalab.errors import ContractError, ResourceError
 from omegalab.graphs import clique, cycle_graph
 from omegalab.homology import betti_mod2
@@ -20,6 +20,7 @@ from omegalab.morse import (
 
 from util import (
     acyclic_oracle,
+    collapse_by_masks,
     is_box_face,
     random_collapse_matching,
     random_equivariant_matching,
@@ -281,3 +282,124 @@ def test_shortcut_collapses_on_random_graphs():
         shortcut_collapses(sc)
         built += 1
     assert built >= 150
+
+
+# full pipeline reports, pinned so that a change to the collapse or homology
+# engines that moves the heap order or any count shows up here
+PIPELINE_REPORTS = {
+    ("K4", 1): {
+        "base": {"n": 4, "m": 6},
+        "half_index": 1,
+        "adjoint_vertices": 28,
+        "simplices": 69182,
+        "collapse_steps": {"saturation": 34552, "phases": [31008, 2320, 648]},
+        "betti": {
+            "shortcut": [1, 0, 1],
+            "plain": [1, 0, 1],
+            "saturated_image": [1, 0, 1],
+            "lower_index": [1, 0, 1],
+        },
+        "betti_agree": True,
+    },
+    ("K4", 3): {
+        "base": {"n": 4, "m": 6},
+        "half_index": 3,
+        "adjoint_vertices": 604,
+        "simplices": 38814,
+        "collapse_steps": {"saturation": 17640, "phases": [8352, 5952, 1608]},
+        "betti": {
+            "shortcut": [1, 0, 1],
+            "plain": [1, 0, 1],
+            "saturated_image": [1, 0, 1],
+            "lower_index": [1, 0, 1],
+        },
+        "betti_agree": True,
+    },
+    ("C7", 3): {
+        "base": {"n": 7, "m": 7},
+        "half_index": 3,
+        "adjoint_vertices": 119,
+        "simplices": 560,
+        "collapse_steps": {"saturation": 140, "phases": [0, 56, 28]},
+        "betti": {
+            "shortcut": [1, 1],
+            "plain": [1, 1],
+            "saturated_image": [1, 1],
+            "lower_index": [1, 1],
+        },
+        "betti_agree": True,
+    },
+}
+
+
+@pytest.mark.parametrize("name,k", list(PIPELINE_REPORTS), ids=lambda x: str(x))
+def test_pipeline_reports_are_pinned(name, k):
+    g = {"K4": clique(4), "C7": cycle_graph(7)}[name]
+    assert pipeline(g, k) == PIPELINE_REPORTS[name, k]
+
+
+def _outcome(k, simplices, sub, matching):
+    try:
+        cert = collapse(k, simplices, sub, matching)
+    except ContractError as err:
+        return str(err).split(";")[0]
+    return list(cert.steps), set(cert.remaining)
+
+
+def test_collapse_on_ids_matches_the_mask_reference():
+    # the same steps in the same order, or the same refusal, as the dict-and-
+    # set collapse on masks, through a table and through plain sets alike;
+    # seven cases in ten are spoiled, each in its own way
+    rng = random.Random(8128)
+    outcomes = set()
+    for trial in range(500):
+        k = random_free_complex(rng, max_shore=6)
+        faces = set(k.simplices())
+        if trial % 2:
+            matching, sub = random_collapse_matching(rng, k)
+        else:
+            matching = MorseMatching(random_equivariant_matching(rng, k).pairs[:14])
+            sub = faces - matching.matched()
+        pairs = list(matching.pairs)
+        spoil = trial // 2 % 10
+        if pairs and spoil == 0:  # a simplex in two pairs
+            pairs.append(pairs[rng.randrange(len(pairs))])
+        elif pairs and spoil == 2:  # a pair without its mirror
+            pairs.pop(rng.randrange(len(pairs)))
+        elif pairs and spoil == 4:  # the target grows into the matching
+            sub = sub | {pairs[rng.randrange(len(pairs))][1]}
+        elif sub and spoil == 5:  # the target leaves a simplex unmatched
+            sub = sub - {min(sub)}
+        elif spoil in (6, 7):  # a pair outside the complex, at 7 twice over
+            top = 1 << (2 * k.h + 3)
+            pairs += [(top, top | 1)] * (spoil - 5)
+        elif sub and spoil == 8:  # one side of the target loses a top simplex
+            top = max(sub, key=lambda s: (s.bit_count(), s))
+            faces.discard(top)
+            sub = sub - {top}
+        matching = MorseMatching(tuple(pairs))
+        expect = collapse_by_masks(k, faces, sub, matching)
+        drawn = Faces.of(faces)
+        assert _outcome(k, drawn, sub, matching) == expect
+        assert _outcome(k, faces, set(sub), matching) == expect
+        if sub <= faces:  # else the drawn target would lose its outside members
+            assert _outcome(k, drawn, drawn.table.faces(sub), matching) == expect
+        outcomes.add(expect if isinstance(expect, str) else "completed")
+    assert {o.split(":")[0] for o in outcomes} == {
+        "completed",
+        "collapse stuck",
+        "a simplex appears in two matching pairs",
+        "matching is not equivariant",
+        "matching touches the protected subcomplex",
+        "matching pair uses unknown simplices",
+        "matching does not cover the simplices outside the subcomplex",
+        "mirror step is not an elementary collapse",
+    }
+
+
+def test_collapse_remaining_is_drawn_from_the_table():
+    sc = ShortcutComplex(clique(3), 1)
+    matching, sub = saturation_matching(sc)
+    cert = collapse(sc.box, sc.simplices, sub, matching)
+    assert cert.remaining.table is sc.simplices.table
+    assert cert.remaining == sub and cert.remaining <= sc.simplices

@@ -6,6 +6,7 @@ different algorithm and data layout than the package's bitset elimination.
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 from itertools import product
@@ -15,8 +16,9 @@ import numpy as np
 
 from omegalab.bitset import bits, mask_of
 from omegalab.boxcomplex import Z2Complex, make_complex
+from omegalab.errors import ContractError
 from omegalab.functors import Homomorphism
-from omegalab.graphs import Graph, common_neighborhood
+from omegalab.graphs import Graph, common_neighborhood, is_joined
 from omegalab.morse import MorseMatching
 
 
@@ -117,6 +119,65 @@ def acyclic_oracle(matching: MorseMatching) -> bool:
                     if rk[j]:
                         ri[j] = True
     return not any(reach[i][i] for i in range(n))
+
+
+def omega_adjacent_oracle(g: Graph, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Adjacency of two omega tuples by the definition, one pair at a time:
+    consecutive components nest across the two tuples and the tails are
+    fully joined."""
+    for i in range(1, len(a)):
+        if a[i - 1] & ~b[i] or b[i - 1] & ~a[i]:
+            return False
+    return is_joined(g, a[-1], b[-1])
+
+
+def collapse_by_masks(k: Z2Complex, simplices, sub, matching: MorseMatching):
+    """Reference for ``morse.collapse``: the same checks and the same heap
+    loop on masks, with dicts and sets in place of the face table.  Returns
+    the steps and the remaining set, or the ContractError message."""
+    try:
+        partner = matching.partner()
+    except ContractError as err:
+        return str(err)
+    for a, b in matching.pairs:
+        if a.bit_count() + 1 != b.bit_count() or a & ~b:
+            return "matching pair is not a face/cofacet pair"
+        if a not in simplices or b not in simplices:
+            return "matching pair uses unknown simplices"
+        if a in sub or b in sub:
+            return "matching touches the protected subcomplex"
+        if partner.get(k.mirror(a)) != k.mirror(b):
+            return "matching is not equivariant"
+    if not set(sub) <= set(simplices) or len(partner) != len(simplices) - len(sub):
+        return "matching does not cover the simplices outside the subcomplex"
+    alive = set(simplices)
+    counts = {a: 0 for a, _ in matching.pairs}
+    for s in alive:
+        for t in bits(s):
+            if s ^ (1 << t) in counts:
+                counts[s ^ (1 << t)] += 1
+    heap = [low for low, c in counts.items() if c == 1]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        low = heapq.heappop(heap)
+        if low not in alive or counts[low] != 1:
+            continue
+        up, mlow = partner[low], k.mirror(low)
+        if counts[mlow] != 1:
+            return "mirror step is not an elementary collapse"
+        for s in (low, up, mlow, k.mirror(up)):
+            alive.discard(s)
+            for t in bits(s):
+                face = s ^ (1 << t)
+                if face in counts:
+                    counts[face] -= 1
+                    if counts[face] == 1 and face in alive:
+                        heapq.heappush(heap, face)
+        steps += [(low, up), (mlow, k.mirror(up))]
+    if alive != set(sub):
+        return f"collapse stuck: {len(alive) - len(sub)} matched simplices remain"
+    return steps, alive
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
