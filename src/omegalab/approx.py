@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitset import bits
+from .bitset import bits, union_of
 from .boxcomplex import Z2Complex, build_box
 from .errors import ContractError, ParameterError, PreconditionError
 from .functors import FunctorResult, omega
@@ -34,10 +34,7 @@ class ApproxMap:
     carriers: list[int]  # target mask per source token
 
     def carrier_of(self, mask: int) -> int:
-        out = 0
-        for t in bits(mask):
-            out |= self.carriers[t]
-        return out
+        return union_of(self.carriers, mask)
 
 
 def build_approx_map(g: Graph, k: int) -> ApproxMap:

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .bitset import bits, mask_of
+from .bitset import bits, holders, mask_of
 from .errors import ContractError, ParameterError, ParseError, ResourceError
 from .functors import Homomorphism
 from .graphs import Graph, common_neighborhood
@@ -248,15 +248,12 @@ def _maximal(masks) -> list[int]:
     """The masks that no other entry contains; a repeated mask contains its
     copy.  Entry i is maximal iff the AND, over its tokens, of the set of
     entries holding that token is entry i alone."""
-    holders: dict[int, int] = {}
-    for i, m in enumerate(masks):
-        for t in bits(m):
-            holders[t] = holders.get(t, 0) | 1 << i
+    held = holders(masks)
     out = []
     for i, m in enumerate(masks):
         above = (1 << len(masks)) - 1
         for t in bits(m):
-            above &= holders[t]
+            above &= held[t]
         if above == 1 << i:
             out.append(m)
     return out

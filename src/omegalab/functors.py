@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits
+from .bitset import bits, holders, union_of
 from .errors import ContractError, ParameterError, PreconditionError, ResourceError
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood
 
@@ -101,7 +101,8 @@ def subdivide(g: Graph, k: int) -> FunctorResult:
     """Replace every edge by a path of k edges (k odd; k = 1 returns g).
 
     Loops become closed walks of length k through the original vertex.
-    Interior vertices are labeled "<u>-<v>/<pos>".
+    Interior vertices are labeled "<u>-<v>/<pos>".  The n + m(k-1)
+    vertices count against ``DEFAULT_VERTEX_BUDGET`` before any is built.
     """
     _require_odd(k)
     if k == 1:
@@ -109,14 +110,13 @@ def subdivide(g: Graph, k: int) -> FunctorResult:
         return FunctorResult(g, "gamma", 1, g, origins=origins)
     edges = g.edges()
     n_new = g.n + len(edges) * (k - 1)
-    rows = [0] * n_new
+    if n_new > DEFAULT_VERTEX_BUDGET:
+        raise ResourceError(
+            f"subdivision vertex budget {DEFAULT_VERTEX_BUDGET} exceeded at k={k} ({n_new} vertices)"
+        )
     origins: list[tuple] = [("v", v) for v in range(g.n)]
     labels = [g.label_of(v) for v in range(g.n)]
-
-    def connect(a: int, b: int) -> None:
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-
+    path_edges = []
     nxt = g.n
     for u, v in edges:
         chain = [u] + list(range(nxt, nxt + k - 1)) + [v]
@@ -124,9 +124,8 @@ def subdivide(g: Graph, k: int) -> FunctorResult:
             origins.append(("e", u, v, pos))
             labels.append(f"{u}-{v}/{pos}")
         nxt += k - 1
-        for a, b in zip(chain, chain[1:]):
-            connect(a, b)
-    graph = Graph(n_new, tuple(rows), tuple(labels))
+        path_edges += zip(chain, chain[1:])
+    graph = Graph.from_edges(n_new, path_edges, labels)
     return FunctorResult(graph, "gamma", k, g, origins=tuple(origins))
 
 
@@ -160,18 +159,11 @@ def walk_power(g: Graph, k: int) -> Graph:
     j = 1
     while j < k and rows != older:
         older, before = before, rows
-        rows = tuple(_bool_mat_vec(before, g.adj[v]) for v in range(g.n))
+        rows = tuple(union_of(before, g.adj[v]) for v in range(g.n))
         j += 1
     if (k - j) % 2:
         rows = before
     return Graph(g.n, rows)
-
-
-def _bool_mat_vec(rows: tuple[int, ...], reachable: int) -> int:
-    out = 0
-    for u in bits(reachable):
-        out |= rows[u]
-    return out
 
 
 # -- right adjoint -------------------------------------------------------------
@@ -227,70 +219,44 @@ def _omega_rows(g: Graph, tuples: list[OmegaTuple], depth: int) -> tuple[int, ..
     b[-1] <= CN(a[-1]), and b[i] >= a[i-1] and b[i-1] <= a[i] for every
     i >= 1.  A loop at a tuple arises iff the base graph has loops.
 
-    With holder sets (see ``_holder_sets``) a row starts full and each
-    condition, from the tail down, is an AND of one holder set or its
-    complement per vertex it names; once the row has no more candidates
-    than that, they are tested one pair at a time.  Without them every pair
-    j <= m is tested once.  Either way only the rows, the tuples and at most
-    as much again in holder sets are alive."""
-    n = len(tuples)
-    rows = [0] * n
-    sets = _holder_sets(tuples, depth)
-    for j, a in enumerate(tuples):
-        joined = common_neighborhood(g, a[-1])
-        if sets is None:
-            row = _settle(tuples, a, range(j, n), depth, joined)
-            rows[j] |= row
-            for m in bits(row >> (j + 1)):
-                rows[j + 1 + m] |= 1 << j
-            continue
-        used, holders = sets
-        row = (1 << n) - 1
-        for v in bits(used[depth] & ~joined):
-            row &= ~holders[depth][v]
-        for i in range(depth, 0, -1):
-            if row.bit_count() <= a[i - 1].bit_count() + (used[i - 1] & ~a[i]).bit_count():
-                row = _settle(tuples, a, bits(row), i, -1)
+    A row starts full and meets the conditions on b's components from the
+    tail down.  At component i each condition is an AND with the holder set
+    of a vertex it names (``bitset.holders``: the tuples whose component i
+    holds that vertex) or with its complement.  Once a row has no more
+    candidates than the component above had holder sets, they are tested
+    one pair at a time.  Component i's holder sets are built the first time
+    a row reaches it unsettled: one n-bit set per vertex that occurs in
+    component i.  So holder memory is at most |V| n bits for each component
+    some row reaches unsettled, and a few long tuples, which settle just
+    below the tail, build the tail's sets alone."""
+    levels: dict[int, dict[int, int]] = {}
+    rows = []
+    for a in tuples:
+        row, upper, held = (1 << len(tuples)) - 1, common_neighborhood(g, a[-1]), None
+        for i in range(depth, -1, -1):
+            if held is not None and row.bit_count() <= len(held):
+                row = _settle(tuples, a, bits(row), i)
                 break
-            for v in bits(a[i - 1]):
-                row &= holders[i].get(v, 0)
-            for v in bits(used[i - 1] & ~a[i]):
-                row &= ~holders[i - 1][v]
-        rows[j] = row
+            if (held := levels.get(i)) is None:
+                held = levels[i] = holders([t[i] for t in tuples])
+            for v, h in held.items():
+                if not upper >> v & 1:  # b[i] <= a[i+1], or the tail's join
+                    row &= ~h
+            for v in bits(a[i - 1]) if i else ():  # b[i] >= a[i-1]
+                row &= held.get(v, 0)
+            upper = a[i]
+        rows.append(row)
     return tuple(rows)
 
 
-def _holder_sets(tuples: list[OmegaTuple], depth: int):
-    """Per component i, the union ``used[i]`` of component i over all tuples
-    and ``holders[i][v]``, the set of tuples whose component i contains v,
-    for v in ``used[i]``; or None when these n-bit sets would take more
-    memory than the tuples' own component pointers, as for a few long
-    tuples or components spread over many vertices."""
-    n = len(tuples)
-    used = [0] * (depth + 1)
-    for t in tuples:
-        for i, comp in enumerate(t):
-            used[i] |= comp
-    # an n-bit set plus its dict entry, against 8 bytes per component pointer
-    if sum(u.bit_count() for u in used) * (n // 8 + 64) > 8 * n * (depth + 1):
-        return None
-    holders = []
-    for i in range(depth + 1):
-        per_vertex = {v: bytearray(n // 8 + 1) for v in bits(used[i])}
-        for j, t in enumerate(tuples):
-            for v in bits(t[i]):
-                per_vertex[v][j >> 3] |= 1 << (j & 7)
-        holders.append({v: int.from_bytes(h, "little") for v, h in per_vertex.items()})
-    return used, holders
-
-
-def _settle(tuples: list[OmegaTuple], a: OmegaTuple, candidates, top: int, joined: int) -> int:
-    """The set of candidates b with b[-1] <= ``joined`` that nest with ``a``
-    at every step i <= ``top``, tested one pair at a time."""
+def _settle(tuples: list[OmegaTuple], a: OmegaTuple, candidates, top: int) -> int:
+    """The set of candidates b that nest with ``a`` in every component
+    i <= ``top`` < depth, b[i] <= a[i+1] and b[i] >= a[i-1], tested one
+    pair at a time."""
     row = 0
     for m in candidates:
         b, i = tuples[m], top
-        fails = b[-1] & ~joined
+        fails = b[i] & ~a[i + 1]
         while not fails and i:
             fails = a[i - 1] & ~b[i] or b[i - 1] & ~a[i]
             i -= 1
@@ -390,7 +356,7 @@ def adjoint_witness_to_omega(
         comps = []
         for _ in range(depth + 1):
             comps.append(_image_mask(f, reach))
-            reach = _bool_mat_vec(g.adj, reach)
+            reach = union_of(g.adj, reach)
         mapping.append(omega_h.index_of(tuple(comps)))
     return Homomorphism(g, omega_h.graph, tuple(mapping))
 

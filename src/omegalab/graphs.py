@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits
-from .errors import ParameterError, ParseError
+from .errors import ParameterError, ParseError, ResourceError
 
 # the most vertices an input graph or an omega construction may have
 DEFAULT_VERTEX_BUDGET = 10**6
+# the most adjacency row bits (1 GiB) a graph built from an edge list may take
+ROW_BIT_BUDGET = 2**33
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,24 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
-        rows = [0] * n
+        """The graph on 0..n-1 with these edges.  Row u takes (highest
+        neighbour of u) + 1 bits; a total above ``ROW_BIT_BUDGET`` is
+        refused before any row is allocated."""
+        edges = list(edges)
+        ends: dict[int, int] = {}  # vertex -> bit length of its row
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"edge ({u}, {v}) out of range")
+            if v >= ends.get(u, 0):
+                ends[u] = v + 1
+            if u >= ends.get(v, 0):
+                ends[v] = u + 1
+        if (row_bits := sum(ends.values())) > ROW_BIT_BUDGET:
+            raise ResourceError(
+                f"adjacency rows of {row_bits} bits exceed the row bit budget {ROW_BIT_BUDGET}"
+            )
+        rows = [0] * n
+        for u, v in edges:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows), tuple(labels) if labels is not None else None)
@@ -311,4 +327,7 @@ def parse_graph(text: str) -> Graph:
         if len(labels) != n:
             raise ParseError("labels must be total when present")
         label_tuple = tuple(labels[v] for v in range(n))
-    return Graph.from_edges(n, edges, label_tuple)
+    try:
+        return Graph.from_edges(n, edges, label_tuple)
+    except ResourceError as exc:
+        raise ParseError(str(exc)) from None

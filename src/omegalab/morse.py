@@ -35,7 +35,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from itertools import compress
 
-from .bitset import bits, mask_of
+from .bitset import bits, mask_of, union_of
 from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, Faces, Z2Complex, build_box
 from .errors import ContractError, ParameterError
 from .functors import FunctorResult, omega, saturation_indices, shortcut
@@ -367,7 +367,7 @@ def removal_phases(sc: ShortcutComplex):
         lo, hi = sc.box.split(s)
         mine, other = (lo, hi) if shore == 0 else (hi, lo)
         if phase == 2:
-            tail = _pooled_tail(sc, other)
+            tail = union_of(sc.subtail, other)  # the other shore's subtails
         elif (tail := capped.get(key := (mine, other & ~sc.saturated_pos))) is None:
             tail = capped[key] = _capped_tail(sc, *key)
         toggles[phase][s] = _toggle(sc, s, p, shore, tail)
@@ -377,21 +377,15 @@ def removal_phases(sc: ShortcutComplex):
 def _capped_tail(sc: ShortcutComplex, mine: int, unsaturated: int) -> int:
     """Common neighborhood of the pooled shore sets (phases 1 and 2): the
     subtails of this shore and the tails of the other shore's unsaturated
-    positions."""
-    pooled = 0
-    for r in bits(mine):
-        pooled |= sc.subtail[r]
-    for r in bits(unsaturated):
-        pooled |= sc.tail[r]
-    return common_neighborhood(sc.g, pooled)
+    positions.
 
-
-def _pooled_tail(sc: ShortcutComplex, other: int) -> int:
-    """Union of the other shore's subtails (phase 3)."""
-    pooled = 0
-    for r in bits(other):
-        pooled |= sc.subtail[r]
-    return pooled
+    Without those tails a toggle can leave the shortcut complex (an input in
+    ``test_morse.PIPELINE_REPORTS`` shows it), but only in phase 2.  An
+    unsaturated position r on the other shore is joined to the lead p by an
+    Omega' edge between two unsaturated tuples, which is an Omega edge, so
+    tail(r) <= CN(tail(p)); every subtail on p's shore lies in tail(r), so p
+    has no same-shore offense and the simplex is not in phase 1."""
+    return common_neighborhood(sc.g, union_of(sc.subtail, mine) | union_of(sc.tail, unsaturated))
 
 
 def _toggle(sc: ShortcutComplex, s: int, p: int, shore: int, tail: int) -> int:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -6,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegalab.cli import main
 from omegalab.graphs import clique, cycle_graph, format_graph, parse_graph, petersen
@@ -291,3 +295,83 @@ def test_hostile_input_is_a_fast_parse_error(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("parse error") and "Traceback" not in err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["show", "-i", "{path}"], 1, "parse error: "),
+        (["functor", "gamma", "-k", "1000001", "-i", "{k2}", "-o", "{out}"], 2, "resource error: "),
+    ],
+    ids=["path-200000-row-bits", "gamma-1000001-vertices"],
+)
+def test_row_bits_and_subdivision_are_bounded_before_allocating(tmp_path, capsys, argv, code, prefix):
+    # the path's rows would take about 2*10^10 bits, and the subdivision
+    # 10^6 + 2 vertices whose rows would take about 62 GB
+    files = {"path": tmp_path / "path.graph", "k2": tmp_path / "k2.graph", "out": tmp_path / "out.graph"}
+    files["path"].write_text("p 200000 199999\n" + "".join(f"e {i} {i + 1}\n" for i in range(199999)))
+    files["k2"].write_text(format_graph(clique(2)))
+    start = time.perf_counter()
+    got = 0
+    try:
+        main([a.format(**files) for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert got == code and err.startswith(prefix) and "Traceback" not in err
+    assert elapsed < 2.0 and not files["out"].exists()
+
+
+_NUMBER = st.one_of(st.integers(-2, 9), st.sampled_from(["x", "1e3", "0x1", "99999999999", "-0", ""]))
+_WORD = st.one_of(_NUMBER.map(str), st.sampled_from(["+", "-", "p", "c", "n", "e", "f", "l"]), st.text(max_size=4))
+
+
+def _sometimes(draw, value, other):
+    """``value`` nine times in ten, else a draw from ``other``."""
+    return value if draw(st.integers(0, 9)) else draw(other)
+
+
+@st.composite
+def _input_text(draw):
+    """Graph-like or complex-like text: well-formed lines with fields that
+    may be out of range, miscounted or not numbers, plus junk lines."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 6))
+        edges = [
+            f"e {_sometimes(draw, u, _NUMBER)} {_sometimes(draw, v, _NUMBER)}"
+            for u, v in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))), max_size=8))
+        ]
+        lines = [f"p {_sometimes(draw, n, _NUMBER)} {_sometimes(draw, len(edges), _NUMBER)}"] + edges
+        if draw(st.integers(0, 3)) == 0:
+            lines += [f"l {_sometimes(draw, v, _NUMBER)} {draw(st.text(max_size=5))}" for v in range(n)]
+    else:
+        h = draw(st.integers(0, 4))
+        lines = [f"c {_sometimes(draw, 2 * h, _NUMBER)}"]
+        for t in range(2 * h):
+            shore = _sometimes(draw, "+-"[t // h], st.sampled_from(["+", "-", "*"]))
+            lines.append(f"n {t} {_sometimes(draw, t % h, _NUMBER)} {shore}")
+        for _ in range(draw(st.integers(0, 5))):
+            ids = draw(st.lists(st.integers(0, max(2 * h - 1, 0)), min_size=1, max_size=6, unique=True))
+            lines.append("f " + " ".join(_sometimes(draw, str(t), _WORD) for t in sorted(ids)))
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), " ".join(draw(st.lists(_WORD, max_size=4))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_input_text())
+def test_parsers_never_crash(tmp_path_factory, text):
+    # every generated file ends in a documented exit code, never a traceback
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.txt"
+    path.write_text(text, encoding="utf-8")
+    for command in ("show", "homology"):
+        err = io.StringIO()
+        code = 0
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                main([command, "-i", str(path)])
+            except SystemExit as exc:
+                code = exc.code or 0
+        assert code in (0, 1, 2), (command, text, err.getvalue())
+        assert "Traceback" not in err.getvalue()

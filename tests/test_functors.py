@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from omegalab.bitset import bits, mask_of
 from omegalab.errors import ContractError, ParameterError, PreconditionError, ResourceError
 from omegalab.functors import (
-    _holder_sets,
     Homomorphism,
     adjoint_witness_from_omega,
     adjoint_witness_to_omega,
@@ -197,7 +197,7 @@ def test_omega_adjacency_matches_pairwise_oracle():
     rng = random.Random(9090)
     graphs = [random_graph(rng, rng.randint(1, 5), rng.uniform(0.3, 0.9), 0.3) for _ in range(30)]
     graphs += [clique(4), cycle_graph(5), Graph.from_edges(2, [(0, 0), (0, 1)])]
-    checked = looped = by_holders = 0
+    checked = looped = 0
     for g in graphs:
         for k in (3, 5, 7):
             try:
@@ -210,15 +210,19 @@ def test_omega_adjacency_matches_pairwise_oracle():
                 assert o.graph.adj[i] == expect, (g.adj, k, i)
             checked += 1
             looped += o.graph.has_loops()
-            by_holders += _holder_sets(list(t), (k - 1) // 2) is not None
-    # both ways of building the rows are exercised
-    assert checked >= 60 and looped >= 10 and 10 <= by_holders <= checked - 10
+    assert checked >= 60 and looped >= 10
+
+
+# tracemalloc peaks of omega on these inputs before the holder sets were
+# built on demand, when these inputs built none; building every component's
+# sets up front raises them to about 3.1 MB and 12.3 MB
+DEEP_INDEX_PEAK_BYTES = {20001: 887_000, 2001: 4_489_000}
 
 
 def test_omega_deep_index_on_many_vertices_matches_pairwise_oracle():
     # a few long tuples over many vertices: the isolated vertices hold no
-    # tuple, and a perfect matching's 100 tuples are settled pair by pair,
-    # so neither allocates a set per (component, vertex)
+    # tuple, and a perfect matching's 100 tuples settle at the tail, so
+    # neither builds holder sets for more than one component
     for g, k, n in [
         (Graph.from_edges(1002, [(0, 1)]), 20001, 2),
         (Graph.from_edges(100, [(2 * i, 2 * i + 1) for i in range(50)]), 2001, 100),
@@ -228,9 +232,16 @@ def test_omega_deep_index_on_many_vertices_matches_pairwise_oracle():
         assert time.perf_counter() - start < 2.0
         t = o.tuples
         assert o.graph.n == n and o.graph.edge_count() == n // 2
-        assert _holder_sets(list(t), (k - 1) // 2) is None
         for i in range(n):
             assert o.graph.adj[i] == mask_of(j for j in range(n) if omega_adjacent_oracle(g, t[i], t[j]))
+        del o, t
+        tracemalloc.start()
+        try:
+            omega(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * DEEP_INDEX_PEAK_BYTES[k], peak
 
 
 def test_omega_moderate_index_adjacency_is_fast():

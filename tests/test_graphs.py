@@ -3,7 +3,8 @@ import random
 import pytest
 
 from omegalab.bitset import mask_of
-from omegalab.errors import ParameterError, ParseError
+from omegalab import graphs
+from omegalab.errors import ParameterError, ParseError, ResourceError
 from omegalab.graphs import (
     Graph,
     clique,
@@ -125,6 +126,24 @@ def test_adjacency_validation():
         Graph(2, (0b10, 0b00))  # asymmetric
     with pytest.raises(ParameterError):
         Graph(1, (0b10,))  # bit beyond n-1
+
+
+def test_row_bits_are_counted_from_the_edge_list(monkeypatch):
+    # each row takes its highest neighbour + 1 bits, counted before any row
+    # is built: a budget of exactly that many bits builds, one bit less refuses
+    rng = random.Random(31)
+    for g in [random_graph(rng, rng.randint(1, 9), 0.5, 0.2) for _ in range(30)]:
+        row_bits = sum(row.bit_length() for row in g.adj)
+        monkeypatch.setattr(graphs, "ROW_BIT_BUDGET", row_bits)
+        assert same_adjacency(Graph.from_edges(g.n, g.edges()), g)
+        if row_bits:
+            monkeypatch.setattr(graphs, "ROW_BIT_BUDGET", row_bits - 1)
+            with pytest.raises(ResourceError, match=f"{row_bits} bits"):
+                Graph.from_edges(g.n, g.edges())
+            with pytest.raises(ParseError, match=f"{row_bits} bits"):
+                parse_graph(format_graph(g))
+    with pytest.raises(ParameterError, match="out of range"):
+        Graph.from_edges(4, [(0, 1), (0, 4)])
 
 
 def test_graph_roundtrip_byte_exact():

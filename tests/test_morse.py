@@ -4,7 +4,7 @@ import pytest
 
 from omegalab.boxcomplex import Faces, make_complex
 from omegalab.errors import ContractError, ResourceError
-from omegalab.graphs import clique, cycle_graph
+from omegalab.graphs import Graph, clique, cycle_graph
 from omegalab.homology import betti_mod2
 from omegalab.morse import (
     MorseMatching,
@@ -329,12 +329,28 @@ PIPELINE_REPORTS = {
         },
         "betti_agree": True,
     },
+    # phase 2 needs the other shore's unsaturated tails in its capped tail:
+    # without them, or with a capped tail memoised by its own shore alone,
+    # a toggle leaves the shortcut complex
+    ("G7", 1): {
+        "base": {"n": 7, "m": 7},
+        "half_index": 1,
+        "adjoint_vertices": 31,
+        "simplices": 18510,
+        "collapse_steps": {"saturation": 9208, "phases": [5376, 476, 1128]},
+        "betti": {"shortcut": [2], "plain": [2], "saturated_image": [2], "lower_index": [2]},
+        "betti_agree": True,
+    },
 }
 
 
 @pytest.mark.parametrize("name,k", list(PIPELINE_REPORTS), ids=lambda x: str(x))
 def test_pipeline_reports_are_pinned(name, k):
-    g = {"K4": clique(4), "C7": cycle_graph(7)}[name]
+    g = {
+        "K4": clique(4),
+        "C7": cycle_graph(7),
+        "G7": Graph.from_edges(7, [(0, 1), (0, 4), (0, 5), (0, 6), (2, 4), (2, 5), (3, 4)]),
+    }[name]
     assert pipeline(g, k) == PIPELINE_REPORTS[name, k]
 
 
