@@ -53,6 +53,7 @@ from .homology import betti_mod2, betti_of_complex, convolve, euler_characterist
 from .morse import (
     CollapseCertificate,
     MorseMatching,
+    SaturationCollapse,
     ShortcutComplex,
     collapse,
     is_acyclic,

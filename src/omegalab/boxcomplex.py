@@ -30,17 +30,19 @@ class FaceTable:
     every face's codimension-1 faces as ids, in flat CSR form: those of face
     i are ``ids[offsets[i]:offsets[i + 1]]``.  A face whose codimension-1
     faces are not all in the table keeps the ones that are; ``closed``, set
-    with the boundary, says whether none was missing.  Ids in mask order make
-    a heap of ids pop in mask order.
+    with the boundary, says whether none was missing.  ``mirrors(h)`` gives
+    every face's mirror as an id.  Ids in mask order make a heap of ids pop
+    in mask order.
     """
 
-    __slots__ = ("masks", "index", "closed", "_boundary")
+    __slots__ = ("masks", "index", "closed", "_boundary", "_mirrors")
 
     def __init__(self, masks: Iterable[int]):
         self.masks = sorted(masks)  # distinct masks
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.closed: bool | None = None
         self._boundary: tuple[array, array] | None = None
+        self._mirrors: tuple[int, array] | None = None
 
     def boundary(self) -> tuple[array, array]:
         """``(offsets, ids)`` of every face's codimension-1 faces, built once."""
@@ -64,6 +66,17 @@ class FaceTable:
             self.closed = closed
             self._boundary = offsets, ids
         return self._boundary
+
+    def mirrors(self, h: int) -> array:
+        """The id of every face's mirror under the half-shift swap of shores
+        of h positions, or -1 where the mirror is not in the table; built
+        once.  Keyed by h rather than by a complex's ``mirror``: a complex
+        holds its own table, so holding the method would make a reference
+        cycle that only the cyclic collector frees."""
+        if self._mirrors is None or self._mirrors[0] != h:
+            get, white = self.index.get, (1 << h) - 1
+            self._mirrors = h, array("i", (get(m >> h | (m & white) << h, -1) for m in self.masks))
+        return self._mirrors[1]
 
     def faces(self, masks: Iterable[int] | None = None) -> Faces:
         """All faces of the table, or the members of ``masks`` that are in it."""
@@ -194,8 +207,13 @@ class Z2Complex:
         return any(mask & ~f == 0 for f in self.facets)
 
     def simplices(self, budget: int = DEFAULT_SIMPLEX_BUDGET) -> Faces:
-        """All faces of all facets, materialized once into a face table."""
+        """All faces of all facets, materialized once into a face table.
+
+        A facet of t tokens has 2^t - 1 faces, so one facet over the budget
+        is refused before any face is built."""
         if self._faces is None:
+            if (1 << max((f.bit_count() for f in self.facets), default=0)) - 1 > budget:
+                raise ResourceError(f"simplex budget {budget} exceeded")
             seen: set[int] = set()
             stack = list(self.facets)
             while stack:

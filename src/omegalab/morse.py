@@ -17,14 +17,19 @@ free complex, and a completed collapse proves acyclicity.  ``is_acyclic`` is
 the standalone check.  A failure is a falsification signal, not an expected
 runtime event.
 
-All four collapses and the shortcut complex's Betti vector read one face
-table (``boxcomplex.FaceTable``), built once when ``ShortcutComplex``
-materializes its simplices: dense ids in mask order and every face's
-codimension-1 faces as ids.  The removal-phase domains, each collapse's
-target and the faces a collapse leaves are flag sets over those ids, and
-``collapse`` keeps alive flags, cofacet counts and partners per id.  Ids in
-mask order make its heap pop faces in the order a heap of masks would, so
-the certificates are those of a collapse on masks.
+The saturation collapse is a strong collapse (Barmak and Minian, DCG 2012):
+each unsaturated token is dominated by its saturated partner's token on the
+same shore, so ``SaturationCollapse`` certifies it on the facets and builds
+the face-level matching and steps only when they are read.
+
+The removal phases, their collapses and the shortcut complex's Betti vector
+read one face table (``boxcomplex.FaceTable``), built once per shortcut
+complex: dense ids in mask order, and every face's codimension-1 faces and
+mirror as ids.  The phases emit partner ids over it; ``collapse`` turns a
+matching of masks into ids once and then checks and runs on ids alone, with
+flag sets for domains, targets and the faces a collapse leaves.  Ids in mask
+order make its heap pop faces in the order a heap of masks would, so the
+certificates are those of a collapse on masks.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import heapq
 from array import array
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 from .bitset import bits, mask_of, union_of
@@ -134,52 +140,75 @@ def collapse(
     removed in the same step.  No face on a directed cycle ever becomes free,
     so ending exactly at ``sub`` proves the matching acyclic; else raises.
 
-    Works on the ids of the face table ``simplices`` is drawn from (a new
-    table when it is a plain set): alive flags, cofacet counts and partners
-    per id, and a heap of ids, which pops in mask order.  The remaining
-    faces are drawn from the same table.
+    The pairs are turned into ids of the face table ``simplices`` is drawn
+    from (a new table when it is a plain set) once; the checks and the
+    collapse then run on ids (``_collapse_ids``).  The remaining faces are
+    drawn from the same table.
     """
     if not complex_.free:
         raise ContractError("equivariant collapses need a free complex")
     simplices = Faces.of(simplices)
     table = simplices.table
-    masks, index = table.masks, table.index
-    n = len(masks)
-
-    # the matching on ids; a pair with a member outside the table is kept by
-    # mask in ``strays`` (it fails the unknown-simplex check below)
-    partner = array("i", [-1]) * n
+    get, n = table.index.get, len(table.masks)
+    # a mask outside the table gets an id past its end; its pair fails the
+    # unknown-simplex check
     strays: dict[int, int] = {}
+    partner = array("i", [-1]) * n
 
-    def partner_of(mask: int) -> int | None:
-        if mask in strays:
-            return strays[mask]
-        i = index.get(mask)
-        return None if i is None or partner[i] < 0 else masks[partner[i]]
+    def stray(mask: int) -> int:
+        if (i := strays.get(mask)) is None:
+            i = strays[mask] = n + len(strays)
+            partner.append(-1)
+        return i
 
+    pairs = []
     matched = 0
     for a, b in matching.pairs:
-        if partner_of(a) is not None or partner_of(b) is not None:
+        ia = get(a)
+        ia = stray(a) if ia is None else ia
+        ib = get(b)
+        ib = stray(b) if ib is None else ib
+        if partner[ia] >= 0 or partner[ib] >= 0:
             raise ContractError("a simplex appears in two matching pairs")
-        ia, ib = index.get(a), index.get(b)
-        if ia is None or ib is None:
-            strays[a], strays[b] = b, a
-        else:
-            partner[ia], partner[ib] = ib, ia
-        matched += 1 if a == b else 2
+        partner[ia], partner[ib] = ib, ia
+        pairs.append((ia, ib))
+        matched += 1 if ia == ib else 2
+    return _collapse_ids(complex_, simplices, sub, partner, pairs, matched, strays)
 
+
+def _collapse_ids(
+    complex_: Z2Complex,
+    simplices: Faces,
+    sub: AbstractSet[int],
+    partner: array,
+    pairs: list[tuple[int, int]],
+    matched: int,
+    strays: dict[int, int],
+) -> CollapseCertificate:
+    """``collapse`` on ids of the table ``simplices`` is drawn from: the
+    ``pairs`` (face, cofacet) are checked in order, then the cover, then the
+    heap loop runs.  ``partner`` maps every matched id to its partner and
+    ``matched`` counts the matched ids; ids past the table are ``strays``,
+    by mask."""
+    table = simplices.table
+    n = len(table.masks)
+    masks = table.masks + list(strays) if strays else table.masks
+    mirror = table.mirrors(complex_.h)
     inside = simplices.drawn(sub)
     known, protected = simplices.flags, inside.flags
     lower = bytearray(n)
-    for a, b in matching.pairs:
+    for ia, ib in pairs:
+        a, b = masks[ia], masks[ib]
         if a.bit_count() + 1 != b.bit_count() or a & ~b:
             raise ContractError("matching pair is not a face/cofacet pair")
-        ia, ib = index.get(a), index.get(b)
-        if ia is None or ib is None or not (known[ia] and known[ib]):
+        if ia >= n or ib >= n or not (known[ia] and known[ib]):
             raise ContractError("matching pair uses unknown simplices")
         if protected[ia] or protected[ib]:
             raise ContractError("matching touches the protected subcomplex")
-        if partner_of(complex_.mirror(a)) != complex_.mirror(b):
+        # a mirror outside the table can only be a stray
+        ma = mirror[ia] if mirror[ia] >= 0 else strays.get(complex_.mirror(a), -1)
+        mb = mirror[ib] if mirror[ib] >= 0 else strays.get(complex_.mirror(b), -1)
+        if ma < 0 or partner[ma] < 0 or partner[ma] != mb:
             raise ContractError("matching is not equivariant")
         lower[ia] = 1
     # every pair member lies in simplices - sub, so the sizes decide the cover
@@ -209,8 +238,7 @@ def collapse(
         if not alive[low] or counts[low] != 1:
             continue
         up = partner[low]
-        mlow = index[complex_.mirror(masks[low])]
-        mup = index[complex_.mirror(masks[up])]
+        mlow, mup = mirror[low], mirror[up]
         if counts[mlow] != 1:  # only when simplices or sub is not swap-symmetric
             raise ContractError("mirror step is not an elementary collapse")
         for s in (low, up, mlow, mup):
@@ -218,13 +246,12 @@ def collapse(
         steps.append((masks[low], masks[up]))
         steps.append((masks[mlow], masks[mup]))
 
-    remaining = Faces(table, alive)
-    if remaining != inside:
+    if alive != inside.flags:
         raise ContractError(
-            f"collapse stuck: {len(remaining) - len(sub)} matched simplices remain; "
+            f"collapse stuck: {alive.count(1) - len(sub)} matched simplices remain; "
             "the matching is cyclic or the target is not a subcomplex"
         )
-    return CollapseCertificate(tuple(steps), remaining)
+    return CollapseCertificate(tuple(steps), Faces(table, alive))
 
 
 # -- the shortcut-complex machinery -------------------------------------------
@@ -345,16 +372,36 @@ def saturation_matching(sc: ShortcutComplex) -> tuple[MorseMatching, set[int]]:
 def removal_phases(sc: ShortcutComplex):
     """The three-phase matching peeling the shortcut-only simplices.
 
+    Returns a list of (matching, domain) in collapse order; the domains
+    partition the simplices outside the unmodified box complex.  The
+    matchings and domains are ``_phase_partners`` read back as masks.
+    """
+    masks = sc.simplices.table.masks
+    return [
+        (MorseMatching(tuple((masks[a], masks[b]) for a, b in pairs)), domain)
+        for domain, _, pairs in _phase_partners(sc)
+    ]
+
+
+def _phase_partners(sc: ShortcutComplex) -> list[tuple[Faces, array, list[tuple[int, int]]]]:
+    """The removal phases on ids of the shortcut table: per phase, in
+    collapse order, its domain, every domain id's partner, its toggle (-1
+    off the domain), and its (face, cofacet) id pairs by lesser id.
+
     Phase 1: same-shore offenses whose lead vertex is unsaturated.
     Phase 2: remaining same-shore offenses (lead vertex saturated).
     Phase 3: cross-shore offenses (tails not joined across the shores).
 
-    Returns a list of (matching, domain) in collapse order; the domains
-    partition the simplices outside the unmodified box complex.
+    A phase's toggle must be an involution without fixed points on its
+    domain.
     """
+    table = sc.simplices.table
+    masks, index = table.masks, table.index
     capped: dict[tuple[int, int], int] = {}  # one capped tail per (mine, other & ~saturated)
-    toggles: tuple[dict[int, int], ...] = ({}, {}, {})  # per phase: simplex -> partner
-    for s in sc.simplices - sc.plain_box_simplices():
+    replaced: dict[tuple[int, int], int] = {}  # (p, tail) -> position of the replacement
+    phases = [([], array("i", [-1]) * len(masks)) for _ in range(3)]
+    for i in (sc.simplices - sc.plain_box_simplices()).ids():
+        s = masks[i]
         if (offense := sc.same_shore_offense(s, require_unsaturated=True)) is not None:
             phase = 0
         elif (offense := sc.same_shore_offense(s, require_unsaturated=False)) is not None:
@@ -370,8 +417,28 @@ def removal_phases(sc: ShortcutComplex):
             tail = union_of(sc.subtail, other)  # the other shore's subtails
         elif (tail := capped.get(key := (mine, other & ~sc.saturated_pos))) is None:
             tail = capped[key] = _capped_tail(sc, *key)
-        toggles[phase][s] = _toggle(sc, s, p, shore, tail)
-    return [(_toggle_matching(toggle), sc.simplices.drawn(toggle)) for toggle in toggles]
+        if (pos := replaced.get(key := (p, tail))) is None:
+            pos = replaced[key] = _replacement(sc, p, tail)
+        j = index.get(s ^ (1 << sc.box.token(pos, shore)))
+        if j is None:
+            raise ContractError("toggle left the shortcut complex")
+        domain, partner = phases[phase]
+        domain.append(i)
+        partner[i] = j
+    out = []
+    for domain, partner in phases:
+        flags, pairs = bytearray(len(masks)), []
+        for i in domain:
+            j = partner[i]
+            if j == i or partner[j] != i:
+                raise ContractError(
+                    f"toggle of {masks[i]:#x} is not an involution without fixed points"
+                )
+            flags[i] = 1
+            if i < j:
+                pairs.append((i, j) if masks[i].bit_count() < masks[j].bit_count() else (j, i))
+        out.append((Faces(table, flags), partner, pairs))
+    return out
 
 
 def _capped_tail(sc: ShortcutComplex, mine: int, unsaturated: int) -> int:
@@ -388,8 +455,8 @@ def _capped_tail(sc: ShortcutComplex, mine: int, unsaturated: int) -> int:
     return common_neighborhood(sc.g, union_of(sc.subtail, mine) | union_of(sc.tail, unsaturated))
 
 
-def _toggle(sc: ShortcutComplex, s: int, p: int, shore: int, tail: int) -> int:
-    """Toggle s by the tuple that replaces the tail of position p's tuple."""
+def _replacement(sc: ShortcutComplex, p: int, tail: int) -> int:
+    """The position of the tuple that replaces the tail of position p's tuple."""
     star = sc.omega.tuples[sc.box.base[p]][:-1] + (tail,)
     try:
         vertex = sc.omega.index_of(star)
@@ -398,10 +465,7 @@ def _toggle(sc: ShortcutComplex, s: int, p: int, shore: int, tail: int) -> int:
     pos = sc.pos_of.get(vertex)
     if pos is None:
         raise ContractError("replacement tuple is isolated")
-    other = s ^ (1 << sc.box.token(pos, shore))
-    if other == 0 or other not in sc.simplices:
-        raise ContractError("toggle left the shortcut complex")
-    return other
+    return pos
 
 
 def _toggle_matching(toggle: dict[int, int]) -> MorseMatching:
@@ -417,22 +481,65 @@ def _toggle_matching(toggle: dict[int, int]) -> MorseMatching:
     return MorseMatching(tuple(pairs))
 
 
+class SaturationCollapse:
+    """Lemma 5.2's collapse of the shortcut complex onto its saturated
+    image, certified on the facets.
+
+    Every unsaturated position's partner must be a saturated position, and
+    every facet that holds an unsaturated token must hold its partner's
+    token on the same shore.  Each unsaturated token is then dominated, and
+    deleting it with its mirror is an equivariant strong collapse; partners
+    are never deleted, so the dominations stay valid.  ``remaining`` is the
+    faces with no unsaturated token; the collapse pairs the others, in
+    ``step_count`` steps, half their number.  ``steps`` runs
+    ``saturation_matching`` and ``collapse`` on first read, which must agree.
+    """
+
+    def __init__(self, sc: ShortcutComplex):
+        box, saturated = sc.box, sc.saturated_pos
+        if not box.free:
+            raise ContractError("equivariant collapses need a free complex")
+        unsaturated = box.white & ~saturated
+        for p in bits(unsaturated):
+            if not saturated >> sc.sat_token[p] & 1:  # so also not p itself
+                raise ContractError(f"position {p} has no saturated partner")
+        partner_bit = [1 << q for q in sc.sat_token]
+        for f in box.facets:
+            for shore in box.split(f):
+                if union_of(partner_bit, shore & unsaturated) & ~shore:
+                    raise ContractError(f"facet {f:#x} does not hold a saturated partner")
+        outside = unsaturated | unsaturated << box.h
+        table = sc.simplices.table
+        self.sc = sc
+        self.remaining = Faces(table, bytes(not m & outside for m in table.masks))
+        self.step_count = (len(sc.simplices) - len(self.remaining)) // 2
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, int], ...]:
+        matching, sub = saturation_matching(self.sc)
+        cert = collapse(self.sc.box, self.sc.simplices, sub, matching)
+        if cert.remaining != self.remaining or len(cert.steps) != self.step_count:
+            raise ContractError("saturation collapse disagrees with its facet certificate")
+        return cert.steps
+
+
 def shortcut_collapses(sc: ShortcutComplex):
     """Run both collapse recipes on the shortcut complex.
 
-    Returns ``(saturation, phases)``: the saturation matching with its
-    certificate for the collapse onto the saturated-image subcomplex, and
-    the three removal-phase matchings with their certificates, in collapse
-    order.  Every matching is checked inside ``collapse``; raises unless the
-    phases end exactly on the unmodified box complex.
+    Returns ``(saturation, phases)``: the ``SaturationCollapse`` onto the
+    saturated-image subcomplex, and the three removal-phase matchings with
+    their certificates, in collapse order.  Every phase matching is checked
+    on ids inside ``_collapse_ids``; raises unless the phases end exactly on
+    the unmodified box complex.
     """
-    sat_matching, sat_sub = saturation_matching(sc)
-    saturation = (sat_matching, collapse(sc.box, sc.simplices, sat_sub, sat_matching))
+    saturation = SaturationCollapse(sc)
+    masks = sc.simplices.table.masks
     current = sc.simplices
     phases = []
-    for matching, domain in removal_phases(sc):
+    for domain, partner, pairs in _phase_partners(sc):
         target = current - domain
-        phases.append((matching, collapse(sc.box, current, target, matching)))
+        cert = _collapse_ids(sc.box, current, target, partner, pairs, len(domain), {})
+        phases.append((MorseMatching(tuple((masks[a], masks[b]) for a, b in pairs)), cert))
         current = target
     if current != sc.plain_box_simplices():
         raise ContractError("three-phase collapse missed the unmodified box complex")
@@ -450,13 +557,13 @@ def pipeline(
     mod-2 Betti vector.  Returns a report dict; raises on any falsification.
     """
     sc = ShortcutComplex(g, k, vertex_budget, simplex_budget)
-    (_, cert52), phases = shortcut_collapses(sc)
-    sat_sub = cert52.remaining
+    saturation, phases = shortcut_collapses(sc)
+    sat_sub = saturation.remaining
     collapse_steps = {
-        "saturation": len(cert52.steps),
+        "saturation": saturation.step_count,
         "phases": [len(cert.steps) for _, cert in phases],
     }
-    del cert52, phases  # the homology below needs none of the steps or pairs
+    del saturation, phases  # the homology below needs none of the steps or pairs
     plain = sc.plain_box_simplices()
 
     betti_shortcut = betti_mod2(sc.simplices, simplex_budget)

@@ -5,6 +5,7 @@ import pytest
 
 from omegalab.bitset import bits, mask_of
 from omegalab.boxcomplex import (
+    FaceTable,
     Z2Complex,
     _maximal,
     build_box,
@@ -13,7 +14,7 @@ from omegalab.boxcomplex import (
     make_complex,
     parse_complex,
 )
-from omegalab.errors import ParameterError, ParseError
+from omegalab.errors import ParameterError, ParseError, ResourceError
 from omegalab.functors import Homomorphism, base_projection, omega
 from omegalab.graphs import Graph, clique, common_neighborhood, cycle_graph, path_graph
 
@@ -183,3 +184,33 @@ def test_parse_complex_is_linear_in_tokens():
     k = parse_complex("\n".join(lines) + "\n")
     assert time.perf_counter() - start < 1.0
     assert k.base == tuple(range(h)) and k.facets == ()
+
+
+def test_one_facet_over_the_budget_is_refused_before_any_face():
+    # 2^25 - 1 faces in one facet: enumerating them took minutes and half a
+    # gigabyte before the budget stopped it
+    k = make_complex(range(30), [(1 << 25) - 1])
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="simplex budget 10000000 exceeded"):
+        k.simplices()
+    assert time.perf_counter() - start < 1.0
+    # a white tetrahedron and its black mirror: 15 faces each
+    for budget in (14, 29):
+        with pytest.raises(ResourceError, match=f"simplex budget {budget} exceeded"):
+            make_complex(range(4), [0b1111]).simplices(budget)
+    assert len(make_complex(range(4), [0b1111]).simplices(30)) == 30
+
+
+def test_mirror_ids_invert_the_swap():
+    k = build_box(clique(4))
+    faces = set(k.simplices())
+    faces.discard(max(faces))  # a face whose mirror is missing
+    table = FaceTable(faces)
+    mirror = table.mirrors(k.h)
+    for i, m in enumerate(table.masks):
+        j = mirror[i]
+        if j >= 0:
+            assert table.masks[j] == k.mirror(m) and mirror[j] == i
+        else:
+            assert k.mirror(m) not in faces
+    assert list(mirror).count(-1) == 1

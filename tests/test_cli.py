@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omegalab.morse
 from omegalab.cli import main
 from omegalab.graphs import clique, cycle_graph, format_graph, parse_graph, petersen
 from omegalab.morse import pipeline
@@ -127,6 +128,31 @@ def test_morse_certificates_are_pinned(tmp_path, graph_files, capsys):
         )
         assert code == 0
         assert hashlib.sha256(cert.read_bytes()).hexdigest() == digest, (name, lemma)
+
+
+def test_morse_builds_the_saturation_matching_only_for_its_certificate(
+    tmp_path, graph_files, capsys, monkeypatch
+):
+    # Lemma 5.2 is certified on facets; its face-level steps are built only
+    # when a certificate file asks for them
+    calls = []
+    real = omegalab.morse.saturation_matching
+    monkeypatch.setattr(
+        omegalab.morse, "saturation_matching", lambda sc: calls.append(sc) or real(sc)
+    )
+    cert = tmp_path / "k3.cert"
+    for lemma, extra, built in [
+        ("54", ["--certificate", str(cert)], 0),
+        ("both", [], 0),
+        ("52", [], 0),
+        ("52", ["--certificate", str(cert)], 1),
+    ]:
+        calls.clear()
+        argv = ["morse", "--lemma", lemma, "-i", str(graph_files["k3"]), "-k", "1", *extra]
+        code, text = run_cli(argv, capsys)
+        assert code == 0 and "acyclic: True" in text
+        assert len(calls) == built, lemma
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == MORSE_CERTIFICATE_SHA256["k3", "52"]
 
 
 def test_morse_step_counts_match_pipeline(graph_files, capsys):
@@ -321,6 +347,27 @@ def test_row_bits_and_subdivision_are_bounded_before_allocating(tmp_path, capsys
     err = capsys.readouterr().err
     assert got == code and err.startswith(prefix) and "Traceback" not in err
     assert elapsed < 2.0 and not files["out"].exists()
+
+
+def test_complex_with_one_facet_over_the_budget_stops_at_once(tmp_path, capsys):
+    # one 25-token facet has 2^25 - 1 faces, over the default 10^7 budget;
+    # the budget used to stop the enumeration only after minutes
+    path = tmp_path / "wide.cx"
+    path.write_text(
+        "c 60\n"
+        + "".join(f"n {t} {t % 30} {'+-'[t // 30]}\n" for t in range(60))
+        + "f " + " ".join(map(str, range(25))) + "\n"
+    )
+    start = time.perf_counter()
+    code = 0
+    try:
+        main(["homology", "-i", str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and err == "resource error: simplex budget 10000000 exceeded\n"
+    assert elapsed < 2.0
 
 
 _NUMBER = st.one_of(st.integers(-2, 9), st.sampled_from(["x", "1e3", "0x1", "99999999999", "-0", ""]))

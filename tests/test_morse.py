@@ -1,13 +1,19 @@
+import gc
+import hashlib
 import random
+import time
+import weakref
 
 import pytest
 
+from omegalab.bitset import bits
 from omegalab.boxcomplex import Faces, make_complex
 from omegalab.errors import ContractError, ResourceError
-from omegalab.graphs import Graph, clique, cycle_graph
+from omegalab.graphs import Graph, clique, cycle_graph, petersen
 from omegalab.homology import betti_mod2
 from omegalab.morse import (
     MorseMatching,
+    SaturationCollapse,
     ShortcutComplex,
     _toggle_matching,
     collapse,
@@ -270,18 +276,88 @@ def test_toggle_matching_refuses_non_involutions():
     assert _toggle_matching({1: 3, 3: 1}).pairs == ((1, 3),)
 
 
-def test_shortcut_collapses_on_random_graphs():
+def _seeded_shortcut_complexes():
+    """The shortcut complexes of 250 seeded random graphs that fit the budgets."""
     rng = random.Random(2024)
-    built = 0
     for _ in range(250):
         g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
         try:
-            sc = ShortcutComplex(g, rng.choice((1, 2)), vertex_budget=200, simplex_budget=5000)
+            yield ShortcutComplex(g, rng.choice((1, 2)), vertex_budget=200, simplex_budget=5000)
         except ResourceError:
             continue
+
+
+def test_shortcut_collapses_on_random_graphs():
+    built = 0
+    for sc in _seeded_shortcut_complexes():
         shortcut_collapses(sc)
         built += 1
     assert built >= 150
+
+
+def test_facet_certificate_matches_the_face_level_collapse():
+    # Lemma 5.2 certified on facets leaves the faces the face-level collapse
+    # of the saturation matching leaves, in as many steps
+    checked = unsaturated = 0
+    named = [ShortcutComplex(clique(4), 1), ShortcutComplex(petersen(), 1)]
+    for sc in [*_seeded_shortcut_complexes(), *named]:
+        saturation = SaturationCollapse(sc)
+        matching, sub = saturation_matching(sc)
+        cert = collapse(sc.box, sc.simplices, sub, matching)
+        assert saturation.remaining == cert.remaining == sub
+        assert saturation.step_count == len(cert.steps) == len(matching.pairs)
+        checked += 1
+        unsaturated += saturation.step_count > 0
+    assert checked >= 150 and unsaturated >= 60
+
+
+def test_facet_certificate_refuses_a_wrong_partner():
+    sc = ShortcutComplex(clique(3), 1)
+    p = next(bits(sc.box.white & ~sc.saturated_pos))
+    right = sc.sat_token[p]
+    # the partner must be another position, and a saturated one
+    for wrong in (p, next(q for q in bits(sc.box.white & ~sc.saturated_pos) if q != p)):
+        sc.sat_token[p] = wrong
+        with pytest.raises(ContractError, match="no saturated partner"):
+            shortcut_collapses(sc)
+    # and it must dominate p: a facet holding p holds the partner on p's shore
+    undominating = [
+        q for q in bits(sc.saturated_pos)
+        if any(f >> p & 1 and not f >> q & 1 for f in sc.box.facets)
+    ]
+    assert undominating
+    for wrong in undominating:
+        sc.sat_token[p] = wrong
+        with pytest.raises(ContractError, match="does not hold a saturated partner"):
+            shortcut_collapses(sc)
+    sc.sat_token[p] = right
+    saturation, _ = shortcut_collapses(sc)
+    matching, sub = saturation_matching(sc)
+    assert saturation.steps == collapse(sc.box, sc.simplices, sub, matching).steps
+
+
+def test_shortcut_collapses_leave_no_reference_cycle():
+    # the face table a complex holds must not refer back to the complex:
+    # with a cycle, every pipeline's faces wait for the cyclic collector,
+    # and repeated pipelines grew peak RSS round after round
+    sc = ShortcutComplex(clique(3), 1)
+    saturation, phases = shortcut_collapses(sc)
+    assert saturation.steps
+    box = weakref.ref(sc.box)
+    gc.disable()
+    try:
+        del sc, saturation, phases
+        assert box() is None
+    finally:
+        gc.enable()
+
+
+def test_a_facet_over_the_budget_stops_the_shortcut_complex_at_once():
+    # the largest facet of K5's shortcut complex at k = 1 has 33 tokens
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="simplex budget 1000000 exceeded"):
+        ShortcutComplex(clique(5), 1, simplex_budget=10**6)
+    assert time.perf_counter() - start < 2.0
 
 
 # full pipeline reports, pinned so that a change to the collapse or homology
@@ -341,17 +417,59 @@ PIPELINE_REPORTS = {
         "betti": {"shortcut": [2], "plain": [2], "saturated_image": [2], "lower_index": [2]},
         "betti_agree": True,
     },
+    # the ladder's largest rung
+    ("Petersen", 1): {
+        "base": {"n": 10, "m": 15},
+        "half_index": 1,
+        "adjoint_vertices": 70,
+        "simplices": 166250,
+        "collapse_steps": {"saturation": 83020, "phases": [79920, 1480, 780]},
+        "betti": {
+            "shortcut": [1, 11],
+            "plain": [1, 11],
+            "saturated_image": [1, 11],
+            "lower_index": [1, 11],
+        },
+        "betti_agree": True,
+    },
 }
+
+G7 = Graph.from_edges(7, [(0, 1), (0, 4), (0, 5), (0, 6), (2, 4), (2, 5), (3, 4)])
 
 
 @pytest.mark.parametrize("name,k", list(PIPELINE_REPORTS), ids=lambda x: str(x))
 def test_pipeline_reports_are_pinned(name, k):
+    g = {"K4": clique(4), "C7": cycle_graph(7), "G7": G7, "Petersen": petersen()}[name]
+    assert pipeline(g, k) == PIPELINE_REPORTS[name, k]
+
+
+# SHA-256 prefixes of each removal phase's sorted pairs and sorted domain, in
+# collapse order, recorded before the phases moved onto face-table ids
+REMOVAL_PHASES_SHA256 = {
+    ("K4", 1): "314a1d9e4ba2c750",
+    ("K4", 2): "600afe6d18258bb0",
+    ("K4", 3): "22466cd4582f20ac",
+    ("C5", 2): "afa3e06f2c5495d8",
+    ("C7", 3): "0a840b9e45bb562e",
+    ("Petersen", 1): "2548ba5b91d1fee8",
+    ("G7", 1): "d7ce0959045ad771",
+}
+
+
+@pytest.mark.parametrize("name,k", list(REMOVAL_PHASES_SHA256), ids=lambda x: str(x))
+def test_removal_phases_are_pinned(name, k):
     g = {
         "K4": clique(4),
+        "C5": cycle_graph(5),
         "C7": cycle_graph(7),
-        "G7": Graph.from_edges(7, [(0, 1), (0, 4), (0, 5), (0, 6), (2, 4), (2, 5), (3, 4)]),
+        "G7": G7,
+        "Petersen": petersen(),
     }[name]
-    assert pipeline(g, k) == PIPELINE_REPORTS[name, k]
+    digest = hashlib.sha256()
+    for matching, domain in removal_phases(ShortcutComplex(g, k)):
+        digest.update(repr(sorted(matching.pairs)).encode())
+        digest.update(repr(sorted(domain)).encode())
+    assert digest.hexdigest()[:16] == REMOVAL_PHASES_SHA256[name, k]
 
 
 def _outcome(k, simplices, sub, matching):
