@@ -148,8 +148,8 @@ def morse(which, infile, half, certificate, vertex_budget, simplex_budget):
         shown.append(("saturation matching", "saturation collapse", pairs, saturation))
     if which in ("54", "both"):
         shown += [
-            (f"phase {i}", f"phase {i} collapse", len(matching.pairs), cert)
-            for i, (matching, cert) in enumerate(phases, start=1)
+            (f"phase {i}", f"phase {i} collapse", len(cert.steps), cert)
+            for i, cert in enumerate(phases, start=1)
         ]
     for matching_label, collapse_label, pairs, cert in shown:
         # a completed collapse proves its matching acyclic, in one step per pair

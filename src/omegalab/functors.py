@@ -33,10 +33,11 @@ class Homomorphism:
     def __post_init__(self):
         if len(self.mapping) != self.source.n:
             raise ContractError("mapping must be total on the source")
-        for u in range(self.source.n):
-            fu = self.mapping[u]
+        # every image in range before any edge test reads one
+        for u, fu in enumerate(self.mapping):
             if not 0 <= fu < self.target.n:
                 raise ContractError(f"image of {u} out of range")
+        for u, fu in enumerate(self.mapping):
             for v in bits(self.source.adj[u]):
                 if v < u:
                     continue

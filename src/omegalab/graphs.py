@@ -182,8 +182,22 @@ def is_joined(g: Graph, a_mask: int, b_mask: int) -> bool:
 
 
 def tensor_product(g: Graph, h: Graph) -> Graph:
-    """Categorical product; vertex (u, w) gets row-major index u*h.n + w."""
+    """Categorical product; vertex (u, w) gets row-major index u*h.n + w.
+
+    Its g.n*h.n vertices count against ``DEFAULT_VERTEX_BUDGET`` and its
+    row bits against ``ROW_BIT_BUDGET`` before any row is built: row (u, w)
+    ends at bit (highest neighbour of u)*h.n + (bit length of w's row)."""
     hn = h.n
+    if g.n * hn > DEFAULT_VERTEX_BUDGET:
+        raise ResourceError(
+            f"tensor product vertex budget {DEFAULT_VERTEX_BUDGET} exceeded ({g.n * hn} vertices)"
+        )
+    ends = [row.bit_length() for row in h.adj if row]
+    row_bits = sum((row.bit_length() - 1) * hn * len(ends) + sum(ends) for row in g.adj if row)
+    if row_bits > ROW_BIT_BUDGET:
+        raise ResourceError(
+            f"adjacency rows of {row_bits} bits exceed the row bit budget {ROW_BIT_BUDGET}"
+        )
     rows = []
     for u in range(g.n):
         for w in range(h.n):

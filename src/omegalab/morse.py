@@ -10,26 +10,30 @@ complex remains, the one ``build_box`` builds for omega(G, 2k+1).
 Both parameterize by the half index k, acting on the functor of odd index
 2k+1.
 
-Each property of a matching is checked once: a recipe's toggle must be an
-involution without fixed points; ``collapse`` checks face/cofacet pairs that
-cover exactly the simplices outside the target under the shore swap of a
-free complex, and a completed collapse proves acyclicity.  ``is_acyclic`` is
-the standalone check.  A failure is a falsification signal, not an expected
-runtime event.
+Each property of a matching is checked once: a recipe's toggle must stay in
+the shortcut complex and be an involution without fixed points
+(``_toggle_pairs``, the one toggle check); ``collapse`` checks face/cofacet
+pairs that cover exactly the simplices outside the target under the shore
+swap of a free complex, and a completed collapse proves acyclicity.
+``is_acyclic`` is the standalone check.  A failure is a falsification
+signal, not an expected runtime event.
 
 The saturation collapse is a strong collapse (Barmak and Minian, DCG 2012):
 each unsaturated token is dominated by its saturated partner's token on the
 same shore, so ``SaturationCollapse`` certifies it on the facets and builds
-the face-level matching and steps only when they are read.
+the face-level steps only when they are read.
 
-The removal phases, their collapses and the shortcut complex's Betti vector
-read one face table (``boxcomplex.FaceTable``), built once per shortcut
-complex: dense ids in mask order, and every face's codimension-1 faces and
-mirror as ids.  The phases emit partner ids over it; ``collapse`` turns a
-matching of masks into ids once and then checks and runs on ids alone, with
-flag sets for domains, targets and the faces a collapse leaves.  Ids in mask
-order make its heap pop faces in the order a heap of masks would, so the
-certificates are those of a collapse on masks.
+Both recipes, their collapses and the shortcut complex's Betti vector read
+one face table (``boxcomplex.FaceTable``), built once per shortcut complex:
+dense ids in mask order, and every face's codimension-1 faces and mirror as
+ids.  A recipe emits partner ids over it, the removal phases by one offense
+scan per simplex (``ShortcutComplex.offense``), and is collapsed on ids
+(``_collapse_ids``), with flag sets for domains, targets and the faces a
+collapse leaves; ``saturation_matching`` and ``removal_phases`` read the
+recipes back as masks.  ``collapse`` turns a matching of masks into ids once
+and runs the same checks and loop.  Ids in mask order make the heap pop
+faces in the order a heap of masks would, so the certificates are those of
+a collapse on masks.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from .bitset import bits, mask_of, union_of
-from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, Faces, Z2Complex, build_box
+from .bitset import bits, holders, mask_of, union_of
+from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, Faces, FaceTable, Z2Complex, build_box
 from .errors import ContractError, ParameterError
 from .functors import FunctorResult, omega, saturation_indices, shortcut
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood
@@ -162,7 +166,6 @@ def collapse(
         return i
 
     pairs = []
-    matched = 0
     for a, b in matching.pairs:
         ia = get(a)
         ia = stray(a) if ia is None else ia
@@ -172,8 +175,7 @@ def collapse(
             raise ContractError("a simplex appears in two matching pairs")
         partner[ia], partner[ib] = ib, ia
         pairs.append((ia, ib))
-        matched += 1 if ia == ib else 2
-    return _collapse_ids(complex_, simplices, sub, partner, pairs, matched, strays)
+    return _collapse_ids(complex_, simplices, sub, partner, pairs, strays)
 
 
 def _collapse_ids(
@@ -182,15 +184,14 @@ def _collapse_ids(
     sub: AbstractSet[int],
     partner: array,
     pairs: list[tuple[int, int]],
-    matched: int,
     strays: dict[int, int],
 ) -> CollapseCertificate:
     """``collapse`` on ids of the table ``simplices`` is drawn from: the
     ``pairs`` (face, cofacet) are checked in order, then the cover, then the
     heap loop runs.  ``partner`` maps every matched id to its partner and
-    ``matched`` counts the matched ids; ids past the table are ``strays``,
-    by mask."""
+    holds -1 elsewhere; ids past the table are ``strays``, by mask."""
     table = simplices.table
+    matched = len(partner) - partner.count(-1)
     n = len(table.masks)
     masks = table.masks + list(strays) if strays else table.masks
     mirror = table.mirrors(complex_.h)
@@ -287,7 +288,6 @@ class ShortcutComplex:
             raise ContractError("shortcut and unmodified box complexes differ in layout")
 
         base = self.box.base  # positions -> vertex ids of the adjoint graph
-        h = self.box.h
         pos_of = {v: p for p, v in enumerate(base)}
         tuples = self.omega.tuples
 
@@ -299,74 +299,56 @@ class ShortcutComplex:
         self.sat_token = [pos_of[sat[v]] for v in base]  # partner's position, per position
         self.pos_of = pos_of
 
-        # join tables over positions: tails vs tails, tails vs subtails
-        self.join_tail_tail = []
-        self.join_tail_subtail = []
-        for p in range(h):
-            cn = common_neighborhood(g, self.tail[p])
-            row_tt = 0
-            row_ts = 0
-            for q in range(h):
-                if self.tail[q] & ~cn == 0:
-                    row_tt |= 1 << q
-                if self.subtail[q] & ~cn == 0:
-                    row_ts |= 1 << q
-            self.join_tail_tail.append(row_tt)
-            self.join_tail_subtail.append(row_ts)
+        # join tables over positions: q is in row p unless tail(q) (in
+        # join_tail_tail) or subtail(q) (in join_tail_subtail) holds a vertex
+        # outside CN(tail(p)); the holder sets name the q holding each vertex
+        cns = [common_neighborhood(g, t) for t in self.tail]
+
+        def joined(rows: list[int]) -> list[int]:
+            held = holders(rows)
+            present = mask_of(held)
+            return [self.box.white & ~union_of(held, present & ~cn) for cn in cns]
+
+        self.join_tail_tail = joined(self.tail)
+        self.join_tail_subtail = joined(self.subtail)
 
     def plain_box_simplices(self) -> Faces:
         """The simplices of the unmodified box complex, materialized once."""
         return self.plain.simplices(self.simplex_budget)
 
-    # offending-simplex classification ----------------------------------------
+    def offense(self, mask: int) -> tuple[int, int, int] | None:
+        """Why a simplex lies outside the unmodified box complex, as
+        ``(phase, lead, shore)``, or None when it lies inside.
 
-    def cross_shore_offense(self, mask: int):
-        """Minimal ordered pair (p, q, shore-of-p) with tails not joined
-        across shores, or None."""
+        A lead p offends on its own shore when its tail fails to join some
+        subtail there, and across when it fails to join some tail on the
+        other shore.  One pass over the positions in ascending order: the
+        first unsaturated same-shore lead gives phase 1 at once; else the
+        first saturated same-shore lead gives phase 2; else the first
+        cross-shore lead gives phase 3.  A position on both shores is read
+        on the white one."""
         lo, hi = self.box.split(mask)
+        later = None
         for p in bits(lo | hi):
-            if lo >> p & 1:
-                off = hi & ~self.join_tail_tail[p]
-            else:
-                off = lo & ~self.join_tail_tail[p]
-            if off:
-                q = (off & -off).bit_length() - 1
-                return p, q, 0 if lo >> p & 1 else 1
-        return None
-
-    def same_shore_offense(self, mask: int, require_unsaturated: bool):
-        """Minimal ordered same-shore pair (p, q, shore) whose tail fails to
-        join the other's subtail; optionally only pairs whose first member
-        is unsaturated."""
-        lo, hi = self.box.split(mask)
-        cand = lo | hi
-        if require_unsaturated:
-            cand &= ~self.saturated_pos
-        for p in bits(cand):
-            shore_mask = lo if lo >> p & 1 else hi
-            off = shore_mask & ~self.join_tail_subtail[p]
-            if off:
-                q = (off & -off).bit_length() - 1
-                return p, q, 0 if lo >> p & 1 else 1
-        return None
+            shore = 0 if lo >> p & 1 else 1
+            mine, other = (lo, hi) if shore == 0 else (hi, lo)
+            if mine & ~self.join_tail_subtail[p]:
+                if not self.saturated_pos >> p & 1:
+                    return 1, p, shore
+                if later is None or later[0] == 3:
+                    later = 2, p, shore
+            elif later is None and other & ~self.join_tail_tail[p]:
+                later = 3, p, shore
+        return later
 
 
 def saturation_matching(sc: ShortcutComplex) -> tuple[MorseMatching, set[int]]:
     """Match every simplex containing an unsaturated vertex with its toggle
     by the saturated partner of the least such vertex.  Returns the matching
-    and the protected subcomplex (simplices purely on saturated vertices)."""
-    sub = set()
-    toggle = {}
-    for s in sc.simplices:
-        lo, hi = sc.box.split(s)
-        union = (lo | hi) & ~sc.saturated_pos
-        if not union:
-            sub.add(s)
-            continue
-        # least unsaturated vertex over both shores, in canonical order
-        p = (union & -union).bit_length() - 1
-        toggle[s] = s ^ (1 << sc.box.token(sc.sat_token[p], not (lo >> p & 1)))
-    return _toggle_matching(toggle), sub
+    and the protected subcomplex (simplices purely on saturated vertices),
+    ``_saturation_partners`` read back as masks."""
+    domain, pairs, _ = _saturation_partners(sc)
+    return _read_back(sc, pairs), set(sc.simplices - domain)
 
 
 def removal_phases(sc: ShortcutComplex):
@@ -376,69 +358,88 @@ def removal_phases(sc: ShortcutComplex):
     partition the simplices outside the unmodified box complex.  The
     matchings and domains are ``_phase_partners`` read back as masks.
     """
+    return [(_read_back(sc, pairs), domain) for domain, pairs, _ in _phase_partners(sc)]
+
+
+def _read_back(sc: ShortcutComplex, pairs: list[tuple[int, int]]) -> MorseMatching:
+    """The id pairs of a recipe over the shortcut table, as a mask matching."""
     masks = sc.simplices.table.masks
-    return [
-        (MorseMatching(tuple((masks[a], masks[b]) for a, b in pairs)), domain)
-        for domain, _, pairs in _phase_partners(sc)
-    ]
+    return MorseMatching(tuple((masks[a], masks[b]) for a, b in pairs))
 
 
-def _phase_partners(sc: ShortcutComplex) -> list[tuple[Faces, array, list[tuple[int, int]]]]:
-    """The removal phases on ids of the shortcut table: per phase, in
-    collapse order, its domain, every domain id's partner, its toggle (-1
-    off the domain), and its (face, cofacet) id pairs by lesser id.
+# a recipe on ids of the shortcut table: its domain, its (face, cofacet) id
+# pairs by lesser id, and every id's partner (-1 off the domain)
+Recipe = tuple[Faces, list[tuple[int, int]], array]
 
-    Phase 1: same-shore offenses whose lead vertex is unsaturated.
-    Phase 2: remaining same-shore offenses (lead vertex saturated).
-    Phase 3: cross-shore offenses (tails not joined across the shores).
 
-    A phase's toggle must be an involution without fixed points on its
-    domain.
-    """
+def _toggle_pairs(
+    table: FaceTable, domain: list[int], partner: array
+) -> tuple[Faces, list[tuple[int, int]]]:
+    """Check a recipe's toggle and pair its domain up.  ``domain`` holds
+    ids of ``table`` in ascending order and ``partner[i]`` the id of i's
+    toggle, -1 where the toggle is not in the table; the toggle must stay in
+    the table and be an involution without fixed points on the domain.
+    Returns the domain, drawn from the table, and its (face, cofacet) id
+    pairs by lesser id."""
+    masks = table.masks
+    flags, pairs = bytearray(len(masks)), []
+    for i in domain:
+        j = partner[i]
+        if j < 0:
+            raise ContractError(f"toggle of {masks[i]:#x} left the shortcut complex")
+        if j == i or partner[j] != i:
+            raise ContractError(
+                f"toggle of {masks[i]:#x} is not an involution without fixed points"
+            )
+        flags[i] = 1
+        if i < j:
+            pairs.append((i, j) if masks[i].bit_count() < masks[j].bit_count() else (j, i))
+    return Faces(table, flags), pairs
+
+
+def _saturation_partners(sc: ShortcutComplex) -> Recipe:
+    """The saturation matching as a recipe; its domain is the faces with an
+    unsaturated token."""
     table = sc.simplices.table
-    masks, index = table.masks, table.index
+    masks, get = table.masks, table.index.get
+    domain, partner = [], array("i", [-1]) * len(masks)
+    for i in sc.simplices.ids():
+        s = masks[i]
+        lo, hi = sc.box.split(s)
+        if union := (lo | hi) & ~sc.saturated_pos:
+            # least unsaturated vertex over both shores, in canonical order
+            p = (union & -union).bit_length() - 1
+            domain.append(i)
+            partner[i] = get(s ^ (1 << sc.box.token(sc.sat_token[p], not (lo >> p & 1))), -1)
+    return (*_toggle_pairs(table, domain, partner), partner)
+
+
+def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
+    """The removal phases as recipes, in collapse order.  A simplex outside
+    the unmodified box complex goes to the phase of its offense
+    (``ShortcutComplex.offense``)."""
+    table = sc.simplices.table
+    masks, get = table.masks, table.index.get
     capped: dict[tuple[int, int], int] = {}  # one capped tail per (mine, other & ~saturated)
     replaced: dict[tuple[int, int], int] = {}  # (p, tail) -> position of the replacement
     phases = [([], array("i", [-1]) * len(masks)) for _ in range(3)]
     for i in (sc.simplices - sc.plain_box_simplices()).ids():
         s = masks[i]
-        if (offense := sc.same_shore_offense(s, require_unsaturated=True)) is not None:
-            phase = 0
-        elif (offense := sc.same_shore_offense(s, require_unsaturated=False)) is not None:
-            phase = 1
-        elif (offense := sc.cross_shore_offense(s)) is not None:
-            phase = 2
-        else:
+        if (offense := sc.offense(s)) is None:
             raise ContractError(f"extra simplex {s:#x} matches no phase")
-        p, _q, shore = offense
+        phase, p, shore = offense
         lo, hi = sc.box.split(s)
         mine, other = (lo, hi) if shore == 0 else (hi, lo)
-        if phase == 2:
+        if phase == 3:
             tail = union_of(sc.subtail, other)  # the other shore's subtails
         elif (tail := capped.get(key := (mine, other & ~sc.saturated_pos))) is None:
             tail = capped[key] = _capped_tail(sc, *key)
         if (pos := replaced.get(key := (p, tail))) is None:
             pos = replaced[key] = _replacement(sc, p, tail)
-        j = index.get(s ^ (1 << sc.box.token(pos, shore)))
-        if j is None:
-            raise ContractError("toggle left the shortcut complex")
-        domain, partner = phases[phase]
+        domain, partner = phases[phase - 1]
         domain.append(i)
-        partner[i] = j
-    out = []
-    for domain, partner in phases:
-        flags, pairs = bytearray(len(masks)), []
-        for i in domain:
-            j = partner[i]
-            if j == i or partner[j] != i:
-                raise ContractError(
-                    f"toggle of {masks[i]:#x} is not an involution without fixed points"
-                )
-            flags[i] = 1
-            if i < j:
-                pairs.append((i, j) if masks[i].bit_count() < masks[j].bit_count() else (j, i))
-        out.append((Faces(table, flags), partner, pairs))
-    return out
+        partner[i] = get(s ^ (1 << sc.box.token(pos, shore)), -1)
+    return [(*_toggle_pairs(table, domain, partner), partner) for domain, partner in phases]
 
 
 def _capped_tail(sc: ShortcutComplex, mine: int, unsaturated: int) -> int:
@@ -468,19 +469,6 @@ def _replacement(sc: ShortcutComplex, p: int, tail: int) -> int:
     return pos
 
 
-def _toggle_matching(toggle: dict[int, int]) -> MorseMatching:
-    """Pair each simplex of the domain (the keys) with its toggle, face
-    first; the toggle must be an involution without fixed points.
-    ``collapse`` checks the pairs themselves."""
-    pairs = []
-    for s, other in toggle.items():
-        if other == s or toggle.get(other) != s:
-            raise ContractError(f"toggle of {s:#x} is not an involution without fixed points")
-        if s < other:
-            pairs.append((s, other) if s.bit_count() < other.bit_count() else (other, s))
-    return MorseMatching(tuple(pairs))
-
-
 class SaturationCollapse:
     """Lemma 5.2's collapse of the shortcut complex onto its saturated
     image, certified on the facets.
@@ -491,8 +479,9 @@ class SaturationCollapse:
     deleting it with its mirror is an equivariant strong collapse; partners
     are never deleted, so the dominations stay valid.  ``remaining`` is the
     faces with no unsaturated token; the collapse pairs the others, in
-    ``step_count`` steps, half their number.  ``steps`` runs
-    ``saturation_matching`` and ``collapse`` on first read, which must agree.
+    ``step_count`` steps, half their number.  ``steps`` collapses the
+    saturation matching onto ``remaining`` on ids on first read; that
+    collapse refuses to end anywhere else, and takes one step per pair.
     """
 
     def __init__(self, sc: ShortcutComplex):
@@ -516,10 +505,8 @@ class SaturationCollapse:
 
     @cached_property
     def steps(self) -> tuple[tuple[int, int], ...]:
-        matching, sub = saturation_matching(self.sc)
-        cert = collapse(self.sc.box, self.sc.simplices, sub, matching)
-        if cert.remaining != self.remaining or len(cert.steps) != self.step_count:
-            raise ContractError("saturation collapse disagrees with its facet certificate")
+        _, pairs, partner = _saturation_partners(self.sc)
+        cert = _collapse_ids(self.sc.box, self.sc.simplices, self.remaining, partner, pairs, {})
         return cert.steps
 
 
@@ -527,19 +514,17 @@ def shortcut_collapses(sc: ShortcutComplex):
     """Run both collapse recipes on the shortcut complex.
 
     Returns ``(saturation, phases)``: the ``SaturationCollapse`` onto the
-    saturated-image subcomplex, and the three removal-phase matchings with
-    their certificates, in collapse order.  Every phase matching is checked
-    on ids inside ``_collapse_ids``; raises unless the phases end exactly on
-    the unmodified box complex.
+    saturated-image subcomplex, and the certificates of the three removal
+    phases, in collapse order.  Every phase's pairs are checked on ids
+    inside ``_collapse_ids``; raises unless the phases end exactly on the
+    unmodified box complex.
     """
     saturation = SaturationCollapse(sc)
-    masks = sc.simplices.table.masks
     current = sc.simplices
     phases = []
-    for domain, partner, pairs in _phase_partners(sc):
+    for domain, pairs, partner in _phase_partners(sc):
         target = current - domain
-        cert = _collapse_ids(sc.box, current, target, partner, pairs, len(domain), {})
-        phases.append((MorseMatching(tuple((masks[a], masks[b]) for a, b in pairs)), cert))
+        phases.append(_collapse_ids(sc.box, current, target, partner, pairs, {}))
         current = target
     if current != sc.plain_box_simplices():
         raise ContractError("three-phase collapse missed the unmodified box complex")
@@ -561,7 +546,7 @@ def pipeline(
     sat_sub = saturation.remaining
     collapse_steps = {
         "saturation": saturation.step_count,
-        "phases": [len(cert.steps) for _, cert in phases],
+        "phases": [len(cert.steps) for cert in phases],
     }
     del saturation, phases  # the homology below needs none of the steps or pairs
     plain = sc.plain_box_simplices()

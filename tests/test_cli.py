@@ -136,9 +136,9 @@ def test_morse_builds_the_saturation_matching_only_for_its_certificate(
     # Lemma 5.2 is certified on facets; its face-level steps are built only
     # when a certificate file asks for them
     calls = []
-    real = omegalab.morse.saturation_matching
+    real = omegalab.morse._saturation_partners
     monkeypatch.setattr(
-        omegalab.morse, "saturation_matching", lambda sc: calls.append(sc) or real(sc)
+        omegalab.morse, "_saturation_partners", lambda sc: calls.append(sc) or real(sc)
     )
     cert = tmp_path / "k3.cert"
     for lemma, extra, built in [

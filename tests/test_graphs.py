@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -77,6 +78,31 @@ def test_tensor_product():
     two_edges = tensor_product(clique(2), clique(2))
     assert two_edges.n == 4 and two_edges.edge_count() == 2
     assert is_isomorphic(tensor_product(cycle_graph(5), clique(2)), cycle_graph(10))
+
+
+def test_tensor_product_checks_its_budgets_before_building_rows():
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="vertex budget"):
+        tensor_product(path_graph(3000), path_graph(3000))  # 9,000,000 vertices
+    with pytest.raises(ResourceError, match="row bit budget"):
+        tensor_product(path_graph(1000), path_graph(1000))  # 10^6 vertices, ~5e11 row bits
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tensor_product_row_bits_are_counted_exactly(monkeypatch):
+    # the bound is the rows' exact total: at it the product builds, one bit
+    # below it is refused
+    rng = random.Random(99)
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(1, 6), 0.5)
+        h = random_graph(rng, rng.randint(1, 6), 0.5)
+        total = sum(row.bit_length() for row in tensor_product(g, h).adj)
+        monkeypatch.setattr(graphs, "ROW_BIT_BUDGET", total)
+        tensor_product(g, h)
+        monkeypatch.setattr(graphs, "ROW_BIT_BUDGET", total - 1)
+        with pytest.raises(ResourceError, match="row bit budget"):
+            tensor_product(g, h)
+        monkeypatch.undo()
 
 
 def test_tensor_projections_are_homomorphisms():

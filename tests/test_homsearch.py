@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from omegalab.errors import PreconditionError, ResourceError
-from omegalab.functors import omega, walk_power
+from omegalab.errors import ContractError, ParseError, PreconditionError, ResourceError
+from omegalab.functors import Homomorphism, omega, walk_power
 from omegalab.graphs import Graph, clique, cycle_graph, path_graph
 from omegalab.homsearch import (
     HomSearchConfig,
@@ -96,3 +98,52 @@ def test_witness_file_roundtrip():
 def test_long_path_search_has_no_recursion_limit():
     f = hom_exists(path_graph(1200), clique(2))
     assert f is not None and f.mapping[:4] == (1, 0, 1, 0)
+
+
+_FIELD = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["x", "1e3", "0x1", "1_0", "99999999999", "-0", "", "\u0663"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _witness_text(draw):
+    """'m <u> <v>' lines for a map on three vertices, often a valid one:
+    some vertices missing or repeated, images that may be out of range or
+    not edge-preserving, a field that may be replaced or added, and blank
+    or junk lines."""
+    images = draw(st.permutations(range(3)))  # a valid map, nine times in ten
+    kept = 3 if draw(st.integers(0, 3)) else draw(st.integers(0, 2))
+    sources = draw(st.permutations(range(3)))[:kept]
+    if not draw(st.integers(0, 3)):
+        sources += draw(st.lists(st.integers(-1, 3), max_size=2))
+    lines = []
+    for u in sources:
+        valid = u in range(3) and draw(st.integers(0, 9))
+        image = images[u] if valid else draw(st.integers(-1, 3))
+        fields = ["m", str(u), str(image)]
+        if draw(st.integers(0, 4)) == 0:
+            fields[draw(st.integers(0, 2))] = draw(_FIELD)
+        if draw(st.integers(0, 9)) == 0:
+            fields.append(draw(_FIELD))
+        lines.append(" ".join(fields))
+    for _ in range(draw(st.integers(0, 2))):
+        junk = st.one_of(st.sampled_from(["", "  ", "m", "m 0", "p 3 3"]), st.text(max_size=6))
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_witness_text())
+@example("m 0 0\nm 1 1\nm 2 -1")  # an edge test once read the negative image
+def test_witness_parser_never_crashes(text):
+    # generated text against K3 -> K3 gives a validated homomorphism or a
+    # documented error, never any other exception
+    k3 = clique(3)
+    try:
+        f = parse_witness(text, k3, k3)
+    except (ParseError, ContractError):
+        return
+    assert isinstance(f, Homomorphism) and f.source is k3 and f.target is k3
+    assert all(k3.has_edge(f(u), f(v)) for u, v in k3.edges())

@@ -3,19 +3,20 @@ import hashlib
 import random
 import time
 import weakref
+from array import array
 
 import pytest
 
 from omegalab.bitset import bits
-from omegalab.boxcomplex import Faces, make_complex
+from omegalab.boxcomplex import Faces, FaceTable, make_complex
 from omegalab.errors import ContractError, ResourceError
-from omegalab.graphs import Graph, clique, cycle_graph, petersen
+from omegalab.graphs import Graph, clique, cycle_graph, is_joined, petersen
 from omegalab.homology import betti_mod2
 from omegalab.morse import (
     MorseMatching,
     SaturationCollapse,
     ShortcutComplex,
-    _toggle_matching,
+    _toggle_pairs,
     collapse,
     is_acyclic,
     pipeline,
@@ -28,6 +29,8 @@ from util import (
     acyclic_oracle,
     collapse_by_masks,
     is_box_face,
+    offense_leads,
+    offense_oracle,
     random_collapse_matching,
     random_equivariant_matching,
     random_free_complex,
@@ -133,11 +136,9 @@ def test_classifier_matches_membership_bruteforce():
         sc = ShortcutComplex(g, 1)
         plain = sc.plain_box_simplices()
         for s in sc.simplices:
-            offended = (
-                sc.cross_shore_offense(s) is not None
-                or sc.same_shore_offense(s, require_unsaturated=False) is not None
-            )
-            assert offended == (s not in plain)
+            offense = sc.offense(s)
+            assert offense == offense_oracle(sc, s)
+            assert (offense is not None) == (s not in plain)
 
 
 def test_same_shore_only_offense_exists_in_k4():
@@ -146,8 +147,9 @@ def test_same_shore_only_offense_exists_in_k4():
     plain = sc.plain_box_simplices()
     assert any(
         s not in plain
-        and sc.same_shore_offense(s, require_unsaturated=False) is not None
-        and sc.cross_shore_offense(s) is None
+        and sc.offense(s)[0] in (1, 2)
+        and offense_oracle(sc, s)[0] in (1, 2)
+        and next(offense_leads(sc, s, same_shore=False), None) is None
         for s in sc.simplices
     )
 
@@ -268,12 +270,28 @@ def test_collapse_refuses_cyclic_random_matchings_in_its_heap_loop():
     assert cyclic > 0 and completed > 0
 
 
+def _toggle_mask_pairs(toggle, faces=(1, 2, 3, 6)):
+    """``_toggle_pairs`` over a table of ``faces``, on masks: the toggle of
+    each key is its value, a value outside the table has id -1."""
+    table = FaceTable(faces)
+    partner = array("i", [-1]) * len(table.masks)
+    for s, t in toggle.items():
+        partner[table.index[s]] = table.index.get(t, -1)
+    domain, pairs = _toggle_pairs(table, sorted(table.index[s] for s in toggle), partner)
+    assert set(domain) == set(toggle)
+    return [(table.masks[a], table.masks[b]) for a, b in pairs]
+
+
 def test_toggle_matching_refuses_non_involutions():
     with pytest.raises(ContractError, match="involution"):
-        _toggle_matching({1: 3, 3: 2, 2: 6, 6: 2})
+        _toggle_mask_pairs({1: 3, 3: 2, 2: 6, 6: 2})
     with pytest.raises(ContractError, match="involution"):
-        _toggle_matching({1: 1})
-    assert _toggle_matching({1: 3, 3: 1}).pairs == ((1, 3),)
+        _toggle_mask_pairs({1: 1})
+    with pytest.raises(ContractError, match="left the shortcut complex"):
+        _toggle_mask_pairs({2: 6, 6: 2, 3: 7})
+    assert _toggle_mask_pairs({1: 3, 3: 1}) == [(1, 3)]
+    # pairs by lesser id, face first
+    assert _toggle_mask_pairs({6: 2, 2: 6, 1: 3, 3: 1}) == [(1, 3), (2, 6)]
 
 
 def _seeded_shortcut_complexes():
@@ -285,6 +303,31 @@ def _seeded_shortcut_complexes():
             yield ShortcutComplex(g, rng.choice((1, 2)), vertex_budget=200, simplex_budget=5000)
         except ResourceError:
             continue
+
+
+def test_offense_matches_the_oracle_on_every_face():
+    # one offense scan gives the phase, lead and shore of the definition, and
+    # no offense exactly on the unmodified box complex
+    checked = 0
+    phases = set()
+    named = [ShortcutComplex(clique(4), 1), ShortcutComplex(petersen(), 1)]
+    for sc in [*_seeded_shortcut_complexes(), *named]:
+        faces = list(sc.simplices)
+        offenses = [sc.offense(s) for s in faces]
+        assert offenses == [offense_oracle(sc, s) for s in faces]
+        assert {s for s, o in zip(faces, offenses) if o is None} == sc.plain_box_simplices()
+        phases.update(o and o[0] for o in offenses)
+        checked += 1
+    assert checked >= 150 and phases == {None, 1, 2, 3}
+
+
+def test_join_tables_match_a_pairwise_recomputation():
+    for sc in _seeded_shortcut_complexes():
+        h = sc.box.h
+        for p in range(h):
+            for rows, table in ((sc.tail, sc.join_tail_tail), (sc.subtail, sc.join_tail_subtail)):
+                joined = [q for q in range(h) if is_joined(sc.g, sc.tail[p], rows[q])]
+                assert table[p] == sum(1 << q for q in joined)
 
 
 def test_shortcut_collapses_on_random_graphs():
@@ -306,6 +349,7 @@ def test_facet_certificate_matches_the_face_level_collapse():
         cert = collapse(sc.box, sc.simplices, sub, matching)
         assert saturation.remaining == cert.remaining == sub
         assert saturation.step_count == len(cert.steps) == len(matching.pairs)
+        assert saturation.steps == cert.steps
         checked += 1
         unsaturated += saturation.step_count > 0
     assert checked >= 150 and unsaturated >= 60

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from omegalab.bitset import bits, mask_of
+from omegalab.bitset import bits, mask_of, union_of
 from omegalab.boxcomplex import Z2Complex, make_complex
 from omegalab.errors import ContractError
 from omegalab.functors import Homomorphism
@@ -129,6 +129,37 @@ def omega_adjacent_oracle(g: Graph, a: tuple[int, ...], b: tuple[int, ...]) -> b
         if a[i - 1] & ~b[i] or b[i - 1] & ~a[i]:
             return False
     return is_joined(g, a[-1], b[-1])
+
+
+def offense_leads(sc, mask: int, same_shore: bool):
+    """The positions p of a shortcut simplex, ascending, with p's shore (0
+    white, 1 black; white when p is on both), whose tail fails to join, by
+    ``is_joined``, the subtails on p's own shore if ``same_shore``, else the
+    tails on the other shore."""
+    lo, hi = sc.box.split(mask)
+    rows = sc.subtail if same_shore else sc.tail
+    pooled = union_of(rows, lo), union_of(rows, hi)  # per shore
+    for p in bits(lo | hi):
+        shore = 0 if lo >> p & 1 else 1
+        if not is_joined(sc.g, sc.tail[p], pooled[shore if same_shore else 1 - shore]):
+            yield p, shore
+
+
+def offense_oracle(sc, mask: int):
+    """``ShortcutComplex.offense`` from the definition of the phases: phase
+    1 if some same-shore lead is unsaturated (the least such), else phase 2
+    if there is a same-shore lead (the least), else phase 3 if there is a
+    cross-shore lead (the least), else None."""
+    same_shore = offense_leads(sc, mask, True)
+    unsaturated = (lead for lead in same_shore if not sc.saturated_pos >> lead[0] & 1)
+    for phase, leads in (
+        (1, unsaturated),
+        (2, offense_leads(sc, mask, True)),
+        (3, offense_leads(sc, mask, False)),
+    ):
+        if (lead := next(leads, None)) is not None:
+            return phase, *lead
+    return None
 
 
 def collapse_by_masks(k: Z2Complex, simplices, sub, matching: MorseMatching):
