@@ -1,4 +1,10 @@
-"""Complete homomorphism search by backtracking with constraint propagation.
+"""Complete homomorphism search by backtracking with arc consistency.
+
+Every source vertex v keeps a domain of target vertices and a support set,
+the union of the target's adjacency rows over that domain.  Revising a
+neighbour of v is one AND of its domain with v's support, and v goes back
+on the propagation queue only when its support shrinks: AC-3 (Mackworth,
+1977) with the set-valued revision of AC-2001 (Bessiere et al., 2005).
 
 A returned map is always validated; a ``None`` answer is only produced by
 an exhausted complete search, never by a budget cutoff (budget exhaustion
@@ -10,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits
-from .errors import ParameterError, PreconditionError, ResourceError
+from .bitset import bits, mask_of, union_of
+from .errors import ParameterError, ParseError, PreconditionError, ResourceError
 from .functors import Homomorphism
 from .graphs import Graph, clique
 
@@ -39,54 +45,45 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
         return None
 
     full = (1 << h.n) - 1
-    loops_h = 0
-    for w in range(h.n):
-        if h.adj[w] >> w & 1:
-            loops_h |= 1 << w
-
-    dom = [full] * n
-    for v in range(n):
-        if g.adj[v] >> v & 1:
-            dom[v] = loops_h  # a looped vertex can only land on a loop
-            if dom[v] == 0:
-                return None
+    loops_h = mask_of(w for w in range(h.n) if h.adj[w] >> w & 1)
+    # a looped vertex can only land on a loop
+    dom = [loops_h if g.adj[v] >> v & 1 else full for v in range(n)]
+    if not all(dom):
+        return None
 
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
 
     nbrs = [[u for u in bits(g.adj[v]) if u != v] for v in range(n)]
     adj_h = h.adj
-    nodes = 0
-    trail: list[tuple[int, int]] = []  # (variable, its domain before a change)
-
-    def revise(u: int, w: int) -> bool:
-        """Drop values of u without a supporting neighbor value at w."""
-        du = dom[u]
-        dw = dom[w]
-        new = 0
-        m = du
-        while m:
-            low = m & -m
-            m ^= low
-            if adj_h[low.bit_length() - 1] & dw:
-                new |= low
-        if new == du:
-            return False
-        trail.append((u, du))
-        dom[u] = new
-        return True
+    # sup[v] is the union of adj_h over dom[v] once v's domain has narrowed
+    # (`full` before); whenever the queue is empty it contains dom[x] for
+    # every neighbour x of v
+    sup = [full] * n
+    nodes = depth = 0  # depth: most variables assigned with propagation succeeding
+    trail: list[tuple[int, int, int]] = []  # (variable, domain, support) before a change
 
     def propagate(start: int) -> bool:
-        queue = [(u, start) for u in nbrs[start]]
+        queue = [start]  # variables whose support shrank
         while queue:
-            u, w = queue.pop()
-            if revise(u, w):
-                if dom[u] == 0:
-                    return False
-                queue.extend((x, u) for x in nbrs[u] if x != w)
+            w = queue.pop()
+            sw = sup[w]
+            for u in nbrs[w]:
+                du = dom[u]
+                new = du & sw
+                if new != du:
+                    if not new:
+                        return False
+                    trail.append((u, du, sup[u]))
+                    dom[u] = new
+                    new = union_of(adj_h, new)
+                    if new != sup[u]:
+                        sup[u] = new
+                        queue.append(u)
         return True
 
     # depth-first with an explicit stack of (position, untried values, trail
     # length on reaching the position); undoing the trail restores the domains
+    # and supports
     stack = [(0, dom[order[0]], 0)]
     while stack:
         pos, untried, mark = stack.pop()
@@ -96,16 +93,21 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
         stack.append((pos, untried ^ low, mark))
         nodes += 1
         if nodes > cfg.node_budget:
-            raise ResourceError(f"search node budget {cfg.node_budget} exhausted")
+            raise ResourceError(
+                f"search node budget {cfg.node_budget} exhausted at depth {depth} of {n}"
+            )
         while len(trail) > mark:
-            v, d = trail.pop()
+            v, d, s = trail.pop()
             dom[v] = d
+            sup[v] = s
         var = order[pos]
-        trail.append((var, dom[var]))
+        trail.append((var, dom[var], sup[var]))
         dom[var] = low
+        sup[var] = adj_h[low.bit_length() - 1]
         if propagate(var):
             if pos + 1 == n:
                 return Homomorphism(g, h, tuple(dom[v].bit_length() - 1 for v in range(n)))
+            depth = max(depth, pos + 1)
             stack.append((pos + 1, dom[order[pos + 1]], len(trail)))
     return None
 
@@ -148,8 +150,6 @@ def format_witness(hom: Homomorphism) -> str:
 
 
 def parse_witness(text: str, source: Graph, target: Graph) -> Homomorphism:
-    from .errors import ParseError
-
     assigned: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

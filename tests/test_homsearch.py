@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegalab.errors import ContractError, ParseError, PreconditionError, ResourceError
-from omegalab.functors import Homomorphism, omega, walk_power
-from omegalab.graphs import Graph, clique, cycle_graph, path_graph
+from omegalab.functors import Homomorphism, omega, subdivide, walk_power
+from omegalab.graphs import Graph, clique, cycle_graph, path_graph, petersen
 from omegalab.homsearch import (
     HomSearchConfig,
     chromatic_number,
@@ -16,7 +16,7 @@ from omegalab.homsearch import (
     parse_witness,
 )
 
-from util import hom_exists_bruteforce, random_graph
+from util import hom_exists_bruteforce, min_deciding_budget, random_graph
 
 
 def test_hom_exists_examples():
@@ -35,8 +35,6 @@ def test_budget_is_distinct_from_none():
 
 
 def petersen_pair():
-    from omegalab.graphs import petersen
-
     return petersen(), omega(petersen(), 5).graph
 
 
@@ -70,6 +68,80 @@ def test_solver_matches_bruteforce_on_random_pairs():
         fast = hom_exists(g, h)
         slow = hom_exists_bruteforce(g, h)
         assert (fast is None) == (slow is None)
+
+
+@st.composite
+def _small_graph(draw, max_n: int, loops: bool) -> Graph:
+    """A graph on up to ``max_n`` vertices, often with isolated vertices, and
+    with loops only if ``loops``."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u, n) if loops or u != v]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def _graph_pair(draw):
+    return draw(_small_graph(6, True)), draw(_small_graph(5, draw(st.booleans())))
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(_graph_pair())
+@example((Graph.from_edges(2, [(0, 0), (0, 1)]), clique(3)))  # a loop, no target loop
+@example((Graph.from_edges(3, [(0, 1)]), Graph.from_edges(3, [(1, 1), (1, 2)])))  # isolated vertices
+@example(  # loops on both sides, so the first domains are not arc consistent
+    (
+        Graph.from_edges(5, [(0, 1), (0, 3), (1, 2), (2, 2), (3, 3)]),
+        Graph.from_edges(6, [(0, 4), (1, 4), (1, 5), (2, 3), (2, 4), (3, 3), (5, 5)]),
+    )
+)
+def test_solver_matches_bruteforce_on_generated_pairs(pair):
+    g, h = pair
+    fast = hom_exists(g, h)
+    assert (fast is None) == (hom_exists_bruteforce(g, h) is None)
+    if fast is not None:
+        assert fast.source is g and fast.target is h and len(fast.mapping) == g.n
+        assert all(h.has_edge(fast(u), fast(v)) for u, v in g.edges())
+
+
+# the least node budget that decides each instance, and the verdict, recorded
+# before propagation moved onto support sets: the search tree is the same
+SEARCH_TREES = {
+    "omega(K4,3)->K3": (lambda: (omega(clique(4), 3).graph, clique(3)), 3492, "none"),
+    "omega(K4,3)->K4": (lambda: (omega(clique(4), 3).graph, clique(4)), 28, "exists"),
+    "omega(C7,5)->K3": (lambda: (omega(cycle_graph(7), 5).graph, clique(3)), 49, "exists"),
+    "omega(Petersen,3)->subdivide(Petersen,3)": (
+        lambda: (omega(petersen(), 3).graph, subdivide(petersen(), 3).graph), 142, "exists"
+    ),
+    "subdivide(Petersen,3)->omega(Petersen,3)": (
+        lambda: (subdivide(petersen(), 3).graph, omega(petersen(), 3).graph), 80, "exists"
+    ),
+    "C5->C7": (lambda: (cycle_graph(5), cycle_graph(7)), 7, "none"),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_TREES))
+def test_search_tree_is_pinned(name):
+    # a change to propagation or variable ordering must move these on purpose
+    build, budget, verdict = SEARCH_TREES[name]
+    g, h = build()
+    least, found = min_deciding_budget(g, h)
+    assert (least, "none" if found is None else "exists") == (budget, verdict)
+    with pytest.raises(ResourceError):
+        hom_exists(g, h, HomSearchConfig(node_budget=budget - 1))
+
+
+def test_budget_error_names_the_depth_reached():
+    # the deepest position at which propagation succeeded, out of the
+    # number of source vertices; the count is deterministic
+    g, h = omega(clique(4), 3).graph, clique(3)
+    for budget, depth in ((1, 1), (6, 6), (100, 15), (3491, 15)):
+        with pytest.raises(ResourceError) as err:
+            hom_exists(g, h, HomSearchConfig(node_budget=budget))
+        assert str(err.value) == f"search node budget {budget} exhausted at depth {depth} of 28"
+    # every value of C5's first vertex is refuted by propagation alone
+    with pytest.raises(ResourceError, match="^search node budget 6 exhausted at depth 0 of 5$"):
+        hom_exists(cycle_graph(5), cycle_graph(7), HomSearchConfig(node_budget=6))
 
 
 def test_witness_composition_validates():

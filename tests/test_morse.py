@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import random
@@ -129,11 +130,11 @@ def test_saturation_matching_is_involution_on_c5():
     assert is_acyclic(matching) and acyclic_oracle(matching)
 
 
-def test_classifier_matches_membership_bruteforce():
+def test_classifier_matches_membership_bruteforce(named_complex):
     # a simplex lies outside the unmodified box complex exactly when it has
     # a cross-shore or a same-shore offense
-    for g in (clique(3), clique(4)):
-        sc = ShortcutComplex(g, 1)
+    for name in ("K3", "K4"):
+        sc = named_complex(name, 1)
         plain = sc.plain_box_simplices()
         for s in sc.simplices:
             offense = sc.offense(s)
@@ -141,9 +142,9 @@ def test_classifier_matches_membership_bruteforce():
             assert (offense is not None) == (s not in plain)
 
 
-def test_same_shore_only_offense_exists_in_k4():
+def test_same_shore_only_offense_exists_in_k4(named_complex):
     # offending pairs on one shore with valid cross joins
-    sc = ShortcutComplex(clique(4), 1)
+    sc = named_complex("K4", 1)
     plain = sc.plain_box_simplices()
     assert any(
         s not in plain
@@ -305,13 +306,29 @@ def _seeded_shortcut_complexes():
             continue
 
 
-def test_offense_matches_the_oracle_on_every_face():
+# The tests below share their complexes through these module-scoped fixtures;
+# none of them changes a complex it is given (the one test that points a
+# partner elsewhere builds its own).
+
+
+@pytest.fixture(scope="module")
+def seeded_complexes():
+    return list(_seeded_shortcut_complexes())
+
+
+@pytest.fixture(scope="module")
+def named_complex():
+    """``ShortcutComplex(GRAPHS[name], k)``, built once per (name, k)."""
+    return functools.cache(lambda name, k: ShortcutComplex(GRAPHS[name], k))
+
+
+def test_offense_matches_the_oracle_on_every_face(seeded_complexes, named_complex):
     # one offense scan gives the phase, lead and shore of the definition, and
     # no offense exactly on the unmodified box complex
     checked = 0
     phases = set()
-    named = [ShortcutComplex(clique(4), 1), ShortcutComplex(petersen(), 1)]
-    for sc in [*_seeded_shortcut_complexes(), *named]:
+    named = [named_complex("K4", 1), named_complex("Petersen", 1)]
+    for sc in [*seeded_complexes, *named]:
         faces = list(sc.simplices)
         offenses = [sc.offense(s) for s in faces]
         assert offenses == [offense_oracle(sc, s) for s in faces]
@@ -321,8 +338,8 @@ def test_offense_matches_the_oracle_on_every_face():
     assert checked >= 150 and phases == {None, 1, 2, 3}
 
 
-def test_join_tables_match_a_pairwise_recomputation():
-    for sc in _seeded_shortcut_complexes():
+def test_join_tables_match_a_pairwise_recomputation(seeded_complexes):
+    for sc in seeded_complexes:
         h = sc.box.h
         for p in range(h):
             for rows, table in ((sc.tail, sc.join_tail_tail), (sc.subtail, sc.join_tail_subtail)):
@@ -330,20 +347,20 @@ def test_join_tables_match_a_pairwise_recomputation():
                 assert table[p] == sum(1 << q for q in joined)
 
 
-def test_shortcut_collapses_on_random_graphs():
+def test_shortcut_collapses_on_random_graphs(seeded_complexes):
     built = 0
-    for sc in _seeded_shortcut_complexes():
+    for sc in seeded_complexes:
         shortcut_collapses(sc)
         built += 1
     assert built >= 150
 
 
-def test_facet_certificate_matches_the_face_level_collapse():
+def test_facet_certificate_matches_the_face_level_collapse(seeded_complexes, named_complex):
     # Lemma 5.2 certified on facets leaves the faces the face-level collapse
     # of the saturation matching leaves, in as many steps
     checked = unsaturated = 0
-    named = [ShortcutComplex(clique(4), 1), ShortcutComplex(petersen(), 1)]
-    for sc in [*_seeded_shortcut_complexes(), *named]:
+    named = [named_complex("K4", 1), named_complex("Petersen", 1)]
+    for sc in [*seeded_complexes, *named]:
         saturation = SaturationCollapse(sc)
         matching, sub = saturation_matching(sc)
         cert = collapse(sc.box, sc.simplices, sub, matching)
@@ -480,11 +497,19 @@ PIPELINE_REPORTS = {
 
 G7 = Graph.from_edges(7, [(0, 1), (0, 4), (0, 5), (0, 6), (2, 4), (2, 5), (3, 4)])
 
+GRAPHS = {
+    "K3": clique(3),
+    "K4": clique(4),
+    "C5": cycle_graph(5),
+    "C7": cycle_graph(7),
+    "G7": G7,
+    "Petersen": petersen(),
+}
+
 
 @pytest.mark.parametrize("name,k", list(PIPELINE_REPORTS), ids=lambda x: str(x))
 def test_pipeline_reports_are_pinned(name, k):
-    g = {"K4": clique(4), "C7": cycle_graph(7), "G7": G7, "Petersen": petersen()}[name]
-    assert pipeline(g, k) == PIPELINE_REPORTS[name, k]
+    assert pipeline(GRAPHS[name], k) == PIPELINE_REPORTS[name, k]
 
 
 # SHA-256 prefixes of each removal phase's sorted pairs and sorted domain, in
@@ -501,16 +526,9 @@ REMOVAL_PHASES_SHA256 = {
 
 
 @pytest.mark.parametrize("name,k", list(REMOVAL_PHASES_SHA256), ids=lambda x: str(x))
-def test_removal_phases_are_pinned(name, k):
-    g = {
-        "K4": clique(4),
-        "C5": cycle_graph(5),
-        "C7": cycle_graph(7),
-        "G7": G7,
-        "Petersen": petersen(),
-    }[name]
+def test_removal_phases_are_pinned(name, k, named_complex):
     digest = hashlib.sha256()
-    for matching, domain in removal_phases(ShortcutComplex(g, k)):
+    for matching, domain in removal_phases(named_complex(name, k)):
         digest.update(repr(sorted(matching.pairs)).encode())
         digest.update(repr(sorted(domain)).encode())
     assert digest.hexdigest()[:16] == REMOVAL_PHASES_SHA256[name, k]

@@ -259,6 +259,36 @@ def hom_exists_bruteforce(g: Graph, h: Graph):
     return None
 
 
+def min_deciding_budget(g: Graph, h: Graph):
+    """The least ``node_budget`` with which ``hom_exists(g, h)`` reaches a
+    verdict, and that verdict: the budget doubles until the search decides,
+    then bisection finds the boundary.  The search does not depend on its
+    budget, so this is the number of nodes the search takes (at least 1)."""
+    from omegalab.errors import ResourceError
+    from omegalab.homsearch import HomSearchConfig, hom_exists
+
+    def verdict(budget: int):
+        try:
+            return True, hom_exists(g, h, HomSearchConfig(node_budget=budget))
+        except ResourceError:
+            return False, None
+
+    hi = 1
+    decided, found = verdict(hi)
+    while not decided:
+        hi *= 2
+        decided, found = verdict(hi)
+    lo = hi // 2  # undecided, or 0 when the first budget decided
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        decided, answer = verdict(mid)
+        if decided:
+            hi, found = mid, answer
+        else:
+            lo = mid
+    return hi, found
+
+
 def box_facets_oracle(g: Graph) -> set[int]:
     """Box-complex facets from every vertex set A with CN(CN(A)) = A and
     both A and CN(A) nonempty, found by trying all 2^n subsets."""
