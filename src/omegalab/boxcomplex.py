@@ -209,27 +209,42 @@ class Z2Complex:
     def simplices(self, budget: int = DEFAULT_SIMPLEX_BUDGET) -> Faces:
         """All faces of all facets, materialized once into a face table.
 
-        A facet of t tokens has 2^t - 1 faces, so one facet over the budget
-        is refused before any face is built."""
+        Each facet's faces are walked as a subset tree: a node is a face and
+        the tokens it may still drop, a child drops one of them and keeps
+        only those below it, so every subset of the facet is reached once.
+        The faces seen are closed downward between facets, so a child seen
+        before came from an earlier facet with all its subfaces, and its
+        subtree is skipped.
+
+        The budget bounds the distinct faces.  A facet of t tokens has
+        2^t - 1 faces, so one facet over the budget is refused before any
+        face is built; otherwise the walk stops as soon as the count passes
+        the budget and names the facet it reached, the i-th of m."""
         if self._faces is None:
             if (1 << max((f.bit_count() for f in self.facets), default=0)) - 1 > budget:
                 raise ResourceError(f"simplex budget {budget} exceeded")
             seen: set[int] = set()
-            stack = list(self.facets)
-            while stack:
-                s = stack.pop()
-                if s in seen:
+            add = seen.add
+            for i, f in enumerate(self.facets, 1):
+                if f in seen:
                     continue
-                seen.add(s)
-                if len(seen) > budget:
-                    raise ResourceError(f"simplex budget {budget} exceeded")
-                m = s
-                while m:
-                    low = m & -m
-                    m ^= low
-                    child = s ^ low
-                    if child and child not in seen:
-                        stack.append(child)
+                add(f)
+                stack = [(f, f)]
+                while stack:
+                    s, free = stack.pop()
+                    rest = free
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        child = s ^ low
+                        if child and child not in seen:
+                            add(child)
+                            if keep := free & (low - 1):
+                                stack.append((child, keep))
+                    if len(seen) > budget:
+                        raise ResourceError(
+                            f"simplex budget {budget} exceeded after {i} of {len(self.facets)} facets"
+                        )
             self._faces = Faces.of(seen)
         return self._faces
 

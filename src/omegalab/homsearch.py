@@ -55,10 +55,10 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
 
     nbrs = [[u for u in bits(g.adj[v]) if u != v] for v in range(n)]
     adj_h = h.adj
-    # sup[v] is the union of adj_h over dom[v] once v's domain has narrowed
-    # (`full` before); whenever the queue is empty it contains dom[x] for
-    # every neighbour x of v
-    sup = [full] * n
+    # sup[v] is the union of adj_h over dom[v]; whenever the queue is empty
+    # it contains dom[x] for every neighbour x of v
+    first = {d: union_of(adj_h, d) for d in {full, loops_h}}  # the two initial domains
+    sup = [first[d] for d in dom]
     nodes = depth = 0  # depth: most variables assigned with propagation succeeding
     trail: list[tuple[int, int, int]] = []  # (variable, domain, support) before a change
 
@@ -80,6 +80,11 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
                         sup[u] = new
                         queue.append(u)
         return True
+
+    # the root is made arc consistent once; its narrowing is never undone
+    if not all(propagate(v) for v in range(n)):
+        return None
+    trail.clear()
 
     # depth-first with an explicit stack of (position, untried values, trail
     # length on reaching the position); undoing the trail restores the domains

@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegalab.bitset import bits, mask_of
 from omegalab.boxcomplex import (
@@ -18,7 +20,7 @@ from omegalab.errors import ParameterError, ParseError, ResourceError
 from omegalab.functors import Homomorphism, base_projection, omega
 from omegalab.graphs import Graph, clique, common_neighborhood, cycle_graph, path_graph
 
-from util import box_facets_oracle, random_graph
+from util import box_facets_oracle, faces_oracle, random_graph
 
 
 def test_box_of_k2():
@@ -199,6 +201,51 @@ def test_one_facet_over_the_budget_is_refused_before_any_face():
         with pytest.raises(ResourceError, match=f"simplex budget {budget} exceeded"):
             make_complex(range(4), [0b1111]).simplices(budget)
     assert len(make_complex(range(4), [0b1111]).simplices(30)) == 30
+
+
+def test_exact_budget_on_shared_faces():
+    # two tetrahedra sharing a triangle: 15 + 15 faces over the facets, 23
+    # distinct ones, so the budget counts each shared face once
+    def k():
+        return Z2Complex(tuple(range(5)), (0b01111, 0b10111), False)
+
+    assert len(k().simplices(23)) == 23
+    with pytest.raises(ResourceError) as err:
+        k().simplices(22)
+    assert str(err.value) == "simplex budget 22 exceeded after 2 of 2 facets"
+    # three disjoint triangles, 7 faces each: the second passes a budget of 10
+    with pytest.raises(ResourceError) as err:
+        Z2Complex(tuple(range(5)), (0b111, 0b111 << 3, 0b111 << 6), False).simplices(10)
+    assert str(err.value) == "simplex budget 10 exceeded after 2 of 3 facets"
+
+
+@st.composite
+def facet_lists(draw):
+    """Facets over 2h tokens with overlaps, plus nested and duplicate copies
+    of some of them, in any order."""
+    h = draw(st.integers(1, 5))
+    full = (1 << 2 * h) - 1
+    facets = draw(st.lists(st.integers(1, full), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 4))):
+        f = facets[draw(st.integers(0, len(facets) - 1))]
+        facets.append(f & draw(st.integers(0, full)) or f)  # nested, else a duplicate
+    return h, draw(st.permutations(facets))
+
+
+@given(facet_lists())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_simplices_match_the_submask_oracle(case):
+    h, facets = case
+    for k in (Z2Complex(tuple(range(h)), tuple(facets), False), make_complex(range(h), facets)):
+        table, want = k.simplices().table, FaceTable(faces_oracle(k.facets))
+        assert table.masks == want.masks
+        assert table.boundary() == want.boundary() and table.closed == want.closed
+
+
+def test_box_of_a_clique_has_three_to_the_n_minus_three_faces():
+    # a face is a disjoint pair of shores, nonempty, with neither side all of V
+    for n in range(2, 9):
+        assert len(build_box(clique(n)).simplices()) == 3**n - 3
 
 
 def test_mirror_ids_invert_the_swap():

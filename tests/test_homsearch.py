@@ -131,6 +131,17 @@ def test_search_tree_is_pinned(name):
         hom_exists(g, h, HomSearchConfig(node_budget=budget - 1))
 
 
+def test_the_root_is_arc_consistent_before_the_first_assignment():
+    # five isolated target vertices numbered below a triangle leave every
+    # domain before the first assignment, so neither C5 tries them (this
+    # took 20 nodes when they stayed until a neighbour was assigned)
+    two_c5 = Graph.from_edges(10, [(c + i, c + (i + 1) % 5) for c in (0, 5) for i in range(5)])
+    padded = Graph.from_edges(8, [(5, 6), (6, 7), (5, 7)])
+    least, found = min_deciding_budget(two_c5, padded)
+    assert least == 10 == min_deciding_budget(two_c5, clique(3))[0]
+    assert set(found.mapping) == {5, 6, 7}
+
+
 def test_budget_error_names_the_depth_reached():
     # the deepest position at which propagation succeeded, out of the
     # number of source vertices; the count is deterministic

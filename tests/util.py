@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import os
 import random
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +287,14 @@ def min_deciding_budget(g: Graph, h: Graph):
         else:
             lo = mid
     return hi, found
+
+
+def faces_oracle(facets) -> set[int]:
+    """Every nonzero submask of every facet, as sums of token combinations."""
+    return {
+        sum(c) for f in facets for r in range(1, f.bit_count() + 1)
+        for c in combinations([1 << t for t in bits(f)], r)
+    }
 
 
 def box_facets_oracle(g: Graph) -> set[int]:
