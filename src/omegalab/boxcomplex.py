@@ -70,9 +70,8 @@ class FaceTable:
     def mirrors(self, h: int) -> array:
         """The id of every face's mirror under the half-shift swap of shores
         of h positions, or -1 where the mirror is not in the table; built
-        once.  Keyed by h rather than by a complex's ``mirror``: a complex
-        holds its own table, so holding the method would make a reference
-        cycle that only the cyclic collector frees."""
+        once.  Keyed by h rather than by a complex's ``mirror``, so that the
+        table keeps no reference to a complex."""
         if self._mirrors is None or self._mirrors[0] != h:
             get, white = self.index.get, (1 << h) - 1
             self._mirrors = h, array("i", (get(m >> h | (m & white) << h, -1) for m in self.masks))
@@ -164,13 +163,13 @@ class Z2Complex:
     for box complexes, an arbitrary id for synthetic complexes); token p is
     its white copy and token p + h its black copy.  This class is the one
     place that knows that layout: callers move between shores only through
-    ``mirror``, ``mirror_token``, ``split`` and ``token``.
+    ``mirror``, ``mirror_token``, ``split`` and ``token``.  The complex is
+    its base and its facets: whether the swap is free and what the faces
+    are is read from the facets on each call.
     """
 
     base: tuple[int, ...]
     facets: tuple[int, ...]
-    free: bool
-    _faces: Faces | None = field(default=None, repr=False, compare=False)
     h: int = field(init=False, repr=False, compare=False)
     # mask of the white tokens, which is also the mask of all shore positions
     white: int = field(init=False, repr=False, compare=False)
@@ -178,6 +177,11 @@ class Z2Complex:
     def __post_init__(self):
         self.h = len(self.base)
         self.white = (1 << self.h) - 1
+
+    @property
+    def free(self) -> bool:
+        """True iff the swap fixes no face: no facet meets its mirror."""
+        return all(f & self.mirror(f) == 0 for f in self.facets)
 
     @property
     def token_count(self) -> int:
@@ -207,7 +211,8 @@ class Z2Complex:
         return any(mask & ~f == 0 for f in self.facets)
 
     def simplices(self, budget: int = DEFAULT_SIMPLEX_BUDGET) -> Faces:
-        """All faces of all facets, materialized once into a face table.
+        """All faces of all facets, materialized into a new face table on
+        every call.
 
         Each facet's faces are walked as a subset tree: a node is a face and
         the tokens it may still drop, a child drops one of them and keeps
@@ -220,33 +225,31 @@ class Z2Complex:
         2^t - 1 faces, so one facet over the budget is refused before any
         face is built; otherwise the walk stops as soon as the count passes
         the budget and names the facet it reached, the i-th of m."""
-        if self._faces is None:
-            if (1 << max((f.bit_count() for f in self.facets), default=0)) - 1 > budget:
-                raise ResourceError(f"simplex budget {budget} exceeded")
-            seen: set[int] = set()
-            add = seen.add
-            for i, f in enumerate(self.facets, 1):
-                if f in seen:
-                    continue
-                add(f)
-                stack = [(f, f)]
-                while stack:
-                    s, free = stack.pop()
-                    rest = free
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        child = s ^ low
-                        if child and child not in seen:
-                            add(child)
-                            if keep := free & (low - 1):
-                                stack.append((child, keep))
-                    if len(seen) > budget:
-                        raise ResourceError(
-                            f"simplex budget {budget} exceeded after {i} of {len(self.facets)} facets"
-                        )
-            self._faces = Faces.of(seen)
-        return self._faces
+        if (1 << max((f.bit_count() for f in self.facets), default=0)) - 1 > budget:
+            raise ResourceError(f"simplex budget {budget} exceeded")
+        seen: set[int] = set()
+        add = seen.add
+        for i, f in enumerate(self.facets, 1):
+            if f in seen:
+                continue
+            add(f)
+            stack = [(f, f)]
+            while stack:
+                s, drop = stack.pop()
+                rest = drop
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    child = s ^ low
+                    if child and child not in seen:
+                        add(child)
+                        if keep := drop & (low - 1):
+                            stack.append((child, keep))
+                if len(seen) > budget:
+                    raise ResourceError(
+                        f"simplex budget {budget} exceeded after {i} of {len(self.facets)} facets"
+                    )
+        return Faces.of(seen)
 
     def validate(self) -> None:
         h = self.h
@@ -259,20 +262,16 @@ class Z2Complex:
         mirrored = sorted(self.mirror(f) for f in self.facets)
         if mirrored != sorted(self.facets):
             raise ParameterError("facet list is not swap-symmetric")
-        really_free = all(f & self.mirror(f) == 0 for f in self.facets)
-        if really_free != self.free:
-            raise ContractError("free flag disagrees with the facet list")
 
 
 def make_complex(base, facets) -> Z2Complex:
     """Build a Z2Complex from arbitrary facet masks: dedupe, maximalize,
-    close under the mirror, sort canonically, and set the free flag."""
-    out = Z2Complex(tuple(base), (), True)
+    close under the mirror, and sort canonically."""
+    out = Z2Complex(tuple(base), ())
     closed = {m for f in facets if f for m in (f, out.mirror(f))}
     maximal = _maximal(list(closed))
     maximal.sort(key=lambda m: tuple(bits(m)))
     out.facets = tuple(maximal)
-    out.free = all(f & out.mirror(f) == 0 for f in maximal)
     out.validate()
     return out
 
@@ -307,7 +306,7 @@ def build_box(g: Graph) -> Z2Complex:
             black = mask_of(h + pos[v] for v in bits(cn))
             facets.append(white | black)
     facets.sort(key=lambda m: tuple(bits(m)))
-    out = Z2Complex(tuple(vlist), tuple(facets), not g.has_loops())
+    out = Z2Complex(tuple(vlist), tuple(facets))
     out.validate()
     return out
 
@@ -341,10 +340,7 @@ class SimplicialZ2Map:
                 raise ContractError("a facet maps outside the target complex")
 
     def image(self, mask: int) -> int:
-        out = 0
-        for t in bits(mask):
-            out |= 1 << self.vertex_map[t]
-        return out
+        return mask_of(self.vertex_map[t] for t in bits(mask))
 
     def compose(self, first: "SimplicialZ2Map") -> "SimplicialZ2Map":
         return SimplicialZ2Map(
@@ -354,16 +350,10 @@ class SimplicialZ2Map:
         )
 
 
-def induced_map(
-    hom: Homomorphism,
-    source: Z2Complex | None = None,
-    target: Z2Complex | None = None,
-) -> SimplicialZ2Map:
-    """The shore-preserving token map (v, *) -> (h(v), *) on box complexes."""
-    if source is None:
-        source = build_box(hom.source)
-    if target is None:
-        target = build_box(hom.target)
+def induced_map(hom: Homomorphism) -> SimplicialZ2Map:
+    """The shore-preserving token map (v, *) -> (h(v), *) between the box
+    complexes of the homomorphism's source and target."""
+    source, target = build_box(hom.source), build_box(hom.target)
     tpos = {v: i for i, v in enumerate(target.base)}
     vmap = []
     for t in range(source.token_count):

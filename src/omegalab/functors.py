@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits, holders, union_of
+from .bitset import bits, holders, mask_of, union_of
 from .errors import ContractError, ParameterError, PreconditionError, ResourceError
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood
 
@@ -356,7 +356,7 @@ def adjoint_witness_to_omega(
         reach = 1 << v
         comps = []
         for _ in range(depth + 1):
-            comps.append(_image_mask(f, reach))
+            comps.append(mask_of(f(u) for u in bits(reach)))
             reach = union_of(g.adj, reach)
         mapping.append(omega_h.index_of(tuple(comps)))
     return Homomorphism(g, omega_h.graph, tuple(mapping))
@@ -371,13 +371,6 @@ def adjoint_witness_from_omega(
     power_g = walk_power(f.source, omega_h.k)
     mapping = tuple(next(bits(omega_h.tuples[f(v)][0])) for v in range(f.source.n))
     return Homomorphism(power_g, omega_h.base, mapping)
-
-
-def _image_mask(f: Homomorphism, mask: int) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= 1 << f(v)
-    return out
 
 
 # -- subdivision embedding and the square-free retraction ----------------------

@@ -18,6 +18,14 @@ DEFAULT_VERTEX_BUDGET = 10**6
 ROW_BIT_BUDGET = 2**33
 
 
+def _check_row_bits(row_bits: int) -> None:
+    """Refuse adjacency rows of more than ``ROW_BIT_BUDGET`` bits in all."""
+    if row_bits > ROW_BIT_BUDGET:
+        raise ResourceError(
+            f"adjacency rows of {row_bits} bits exceed the row bit budget {ROW_BIT_BUDGET}"
+        )
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected graph; vertices are 0..n-1, loops allowed.
@@ -60,10 +68,7 @@ class Graph:
                 ends[u] = v + 1
             if u >= ends.get(v, 0):
                 ends[v] = u + 1
-        if (row_bits := sum(ends.values())) > ROW_BIT_BUDGET:
-            raise ResourceError(
-                f"adjacency rows of {row_bits} bits exceed the row bit budget {ROW_BIT_BUDGET}"
-            )
+        _check_row_bits(sum(ends.values()))
         rows = [0] * n
         for u, v in edges:
             rows[u] |= 1 << v
@@ -194,10 +199,7 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
         )
     ends = [row.bit_length() for row in h.adj if row]
     row_bits = sum((row.bit_length() - 1) * hn * len(ends) + sum(ends) for row in g.adj if row)
-    if row_bits > ROW_BIT_BUDGET:
-        raise ResourceError(
-            f"adjacency rows of {row_bits} bits exceed the row bit budget {ROW_BIT_BUDGET}"
-        )
+    _check_row_bits(row_bits)
     rows = []
     for u in range(g.n):
         for w in range(h.n):

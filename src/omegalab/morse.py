@@ -260,9 +260,9 @@ def _collapse_ids(
 
 class ShortcutComplex:
     """Bundles the right-adjoint graph of index 2k+1, the box complex of its
-    shortcut extension, its unmodified box complex, and the per-position
-    data the matchings consume (tail masks, saturation flags, pairwise join
-    tables)."""
+    shortcut extension with its faces, the faces of its unmodified box
+    complex, and the per-position data the matchings consume (tail masks,
+    saturation flags, pairwise join tables)."""
 
     def __init__(
         self,
@@ -276,16 +276,16 @@ class ShortcutComplex:
         if g.has_loops():
             raise ParameterError("shortcut collapses need a loopless base graph")
         self.g = g
-        self.k = k
-        self.simplex_budget = simplex_budget
         self.omega: FunctorResult = omega(g, 2 * k + 1, vertex_budget)
         sat = saturation_indices(g, self.omega)
         self.box: Z2Complex = build_box(shortcut(self.omega, sat).graph)
         self.simplices: Faces = self.box.simplices(simplex_budget)
         # shortcut edges touch only omega's non-isolated vertices: one layout
-        self.plain: Z2Complex = build_box(self.omega.graph)
-        if self.plain.base != self.box.base:
+        plain = build_box(self.omega.graph)
+        if plain.base != self.box.base:
             raise ContractError("shortcut and unmodified box complexes differ in layout")
+        # on a table of their own, which needs no shortcut face
+        self._plain_simplices: Faces = plain.simplices(simplex_budget)
 
         base = self.box.base  # positions -> vertex ids of the adjoint graph
         pos_of = {v: p for p, v in enumerate(base)}
@@ -313,8 +313,9 @@ class ShortcutComplex:
         self.join_tail_subtail = joined(self.subtail)
 
     def plain_box_simplices(self) -> Faces:
-        """The simplices of the unmodified box complex, materialized once."""
-        return self.plain.simplices(self.simplex_budget)
+        """The simplices of the unmodified box complex, built with the
+        shortcut complex on a face table of their own."""
+        return self._plain_simplices
 
     def offense(self, mask: int) -> tuple[int, int, int] | None:
         """Why a simplex lies outside the unmodified box complex, as
@@ -497,7 +498,7 @@ class SaturationCollapse:
             for shore in box.split(f):
                 if union_of(partner_bit, shore & unsaturated) & ~shore:
                     raise ContractError(f"facet {f:#x} does not hold a saturated partner")
-        outside = unsaturated | unsaturated << box.h
+        outside = unsaturated | box.mirror(unsaturated)
         table = sc.simplices.table
         self.sc = sc
         self.remaining = Faces(table, bytes(not m & outside for m in table.masks))

@@ -109,22 +109,12 @@ class _Runner:
                 "id": check_id,
                 "claim": claim,
                 "inputs": inputs,
-                "expected": _plain(expected),
-                "actual": _plain(actual),
+                "expected": expected,
+                "actual": actual,
                 "status": status,
                 "wall_ms": wall_ms,
             }
         )
-
-
-def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_plain(v) for v in value]
-    return value
 
 
 # -- suites --------------------------------------------------------------------

@@ -170,6 +170,9 @@ def test_criterion_9_solver_oracle():
     assert report(9, "solver vs brute force, 300 random pairs", ok)
 
 
+VERIFY_ALL_FINGERPRINT = "2b7b609cece5eee11c2ac8bb7d021bbe3104d24514d706a38f86805aad5f1c63"
+
+
 def test_criterion_10_determinism(tmp_path):
     outs = []
     codes = []
@@ -195,3 +198,6 @@ def test_criterion_10_determinism(tmp_path):
         identical and fingerprints[0] == fingerprints[1],
         f"fingerprint {fingerprints[0][:16]}",
     )
+    # the behaviour invariant: a change that moves it on purpose updates the
+    # pin and says why
+    assert fingerprints[0] == VERIFY_ALL_FINGERPRINT

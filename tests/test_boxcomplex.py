@@ -46,6 +46,18 @@ def test_box_of_looped_vertex_is_not_free():
     assert k.facets == (0b11,)
 
 
+def test_box_is_free_exactly_when_the_graph_has_no_loops():
+    # ``free`` is read from the facets; a loop at v makes a facet hold both
+    # copies of v, and only a loop does
+    rng = random.Random(4242)
+    looped = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.8), loop_p=0.2)
+        assert build_box(g).free == (not g.has_loops())
+        looped += g.has_loops()
+    assert 50 <= looped <= 150
+
+
 def test_isolated_vertices_dropped():
     g = Graph.from_edges(4, [(0, 1)])  # vertices 2, 3 isolated
     k = build_box(g)
@@ -176,7 +188,7 @@ def test_maximal_matches_all_pairs_definition():
 def test_validate_refuses_nested_or_repeated_facets():
     for facets in ((0b0001, 0b1001, 0b0110), (0b1001, 0b1001, 0b0110, 0b0110)):
         with pytest.raises(ParameterError, match="not an antichain"):
-            Z2Complex((0, 1), facets, True).validate()
+            Z2Complex((0, 1), facets).validate()
 
 
 def test_parse_complex_is_linear_in_tokens():
@@ -203,11 +215,21 @@ def test_one_facet_over_the_budget_is_refused_before_any_face():
     assert len(make_complex(range(4), [0b1111]).simplices(30)) == 30
 
 
+def test_the_budget_applies_on_every_call():
+    # B(K4) has 78 faces; an earlier call with room for them all lets no
+    # later call past a smaller budget
+    k = build_box(clique(4))
+    assert len(k.simplices()) == 78
+    with pytest.raises(ResourceError, match="simplex budget 5 exceeded"):
+        k.simplices(5)
+    assert k.simplices() is not k.simplices()
+
+
 def test_exact_budget_on_shared_faces():
     # two tetrahedra sharing a triangle: 15 + 15 faces over the facets, 23
     # distinct ones, so the budget counts each shared face once
     def k():
-        return Z2Complex(tuple(range(5)), (0b01111, 0b10111), False)
+        return Z2Complex(tuple(range(5)), (0b01111, 0b10111))
 
     assert len(k().simplices(23)) == 23
     with pytest.raises(ResourceError) as err:
@@ -215,7 +237,7 @@ def test_exact_budget_on_shared_faces():
     assert str(err.value) == "simplex budget 22 exceeded after 2 of 2 facets"
     # three disjoint triangles, 7 faces each: the second passes a budget of 10
     with pytest.raises(ResourceError) as err:
-        Z2Complex(tuple(range(5)), (0b111, 0b111 << 3, 0b111 << 6), False).simplices(10)
+        Z2Complex(tuple(range(5)), (0b111, 0b111 << 3, 0b111 << 6)).simplices(10)
     assert str(err.value) == "simplex budget 10 exceeded after 2 of 3 facets"
 
 
@@ -236,7 +258,7 @@ def facet_lists(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_simplices_match_the_submask_oracle(case):
     h, facets = case
-    for k in (Z2Complex(tuple(range(h)), tuple(facets), False), make_complex(range(h), facets)):
+    for k in (Z2Complex(tuple(range(h)), tuple(facets)), make_complex(range(h), facets)):
         table, want = k.simplices().table, FaceTable(faces_oracle(k.facets))
         assert table.masks == want.masks
         assert table.boundary() == want.boundary() and table.closed == want.closed

@@ -142,6 +142,12 @@ def test_classifier_matches_membership_bruteforce(named_complex):
             assert (offense is not None) == (s not in plain)
 
 
+def test_plain_box_faces_are_built_once(named_complex):
+    sc = named_complex("K3", 1)
+    assert sc.plain_box_simplices() is sc.plain_box_simplices()
+    assert sc.plain_box_simplices().table is not sc.simplices.table
+
+
 def test_same_shore_only_offense_exists_in_k4(named_complex):
     # offending pairs on one shore with valid cross joins
     sc = named_complex("K4", 1)
