@@ -5,6 +5,7 @@ all at machine-checkable desk scale."""
 __version__ = "0.1.0"
 
 from .errors import (
+    Budgets,
     ContractError,
     OmegalabError,
     ParameterError,

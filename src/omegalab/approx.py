@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .bitset import bits, union_of
 from .boxcomplex import Z2Complex, build_box
-from .errors import ContractError, ParameterError, PreconditionError
+from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, PreconditionError
 from .functors import FunctorResult, omega
 from .graphs import Graph, max_degree
 
@@ -37,8 +37,11 @@ class ApproxMap:
         return union_of(self.carriers, mask)
 
 
-def build_approx_map(g: Graph, k: int) -> ApproxMap:
-    """Construct the map at half index k (adjoint functor index 2k+1).
+def build_approx_map(
+    g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget
+) -> ApproxMap:
+    """Construct the map at half index k (adjoint functor index 2k+1), its
+    adjoint graph bounded by ``vertex_budget`` as in ``omega``.
 
     A white tuple token averages the per-component shore-alternating
     averages: component i contributes its members on the white shore for
@@ -49,7 +52,7 @@ def build_approx_map(g: Graph, k: int) -> ApproxMap:
         raise ParameterError("half index must be >= 1")
     if g.has_loops():
         raise PreconditionError("the averaging map needs a loopless base graph")
-    adjoint = omega(g, 2 * k + 1)
+    adjoint = omega(g, 2 * k + 1, vertex_budget)
     source = build_box(adjoint.graph)
     target = build_box(g)
     tpos = {v: i for i, v in enumerate(target.base)}

@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .bitset import bits, holders, mask_of
-from .errors import ContractError, ParameterError, ParseError, ResourceError
+from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, ParseError, ResourceError
 from .functors import Homomorphism
 from .graphs import Graph, common_neighborhood
-
-DEFAULT_SIMPLEX_BUDGET = 10**7
 
 
 class FaceTable:
@@ -210,7 +208,7 @@ class Z2Complex:
             return False
         return any(mask & ~f == 0 for f in self.facets)
 
-    def simplices(self, budget: int = DEFAULT_SIMPLEX_BUDGET) -> Faces:
+    def simplices(self, budget: int = DEFAULT_BUDGETS.simplex_budget) -> Faces:
         """All faces of all facets, materialized into a new face table on
         every call.
 

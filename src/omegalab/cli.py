@@ -14,20 +14,14 @@ import click
 
 from .approx import build_approx_map, carrier_check, diameter_bound, simplex_image_diameter_sq
 from .bitset import bits
-from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, build_box, format_complex, parse_complex
-from .errors import OmegalabError, ParseError, ResourceError
+from .boxcomplex import build_box, format_complex, parse_complex
+from .errors import DEFAULT_BUDGETS, Budgets, OmegalabError, ParseError, ResourceError
 from .functors import omega, omega_prime, subdivide, walk_power
-from .graphs import DEFAULT_VERTEX_BUDGET, Graph, format_graph, max_degree, parse_graph
+from .graphs import Graph, format_graph, max_degree, parse_graph
 from .homology import betti_mod2, euler_characteristic
-from .homsearch import (
-    DEFAULT_NODE_BUDGET,
-    HomSearchConfig,
-    chromatic_number,
-    format_witness,
-    hom_exists,
-)
+from .homsearch import chromatic_number, format_witness, hom_exists
 from .morse import ShortcutComplex, shortcut_collapses
-from .verify import SUITES, Budgets, canonical_json, exit_code, run_suite
+from .verify import SUITES, canonical_json, exit_code, run_suite
 
 USAGE_EXIT = 64
 RESOURCE_EXIT = 2
@@ -45,6 +39,22 @@ def _read_text(path: str) -> str:
 
 def _read_graph(path: str) -> Graph:
     return parse_graph(_read_text(path))
+
+
+def _budget_options(*names: str):
+    """One ``--<name>`` option per ``Budgets`` field, in the order given: at
+    least 1 (a usage error otherwise) and defaulting to the record's field."""
+
+    def decorate(fn):
+        for name in reversed(names):
+            fn = click.option(
+                "--" + name.replace("_", "-"),
+                type=click.IntRange(min=1),
+                default=getattr(DEFAULT_BUDGETS, name),
+            )(fn)
+        return fn
+
+    return decorate
 
 
 @click.group()
@@ -77,12 +87,12 @@ def functor(kind, index, infile, outfile):
 @click.option("-g", "gpath", required=True, type=click.Path(exists=True))
 @click.option("-h", "hpath", required=True, type=click.Path(exists=True))
 @click.option("--witness", type=click.Path(), default=None)
-@click.option("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-def hom(gpath, hpath, witness, node_budget):
+@_budget_options("node_budget")
+def hom(gpath, hpath, witness, **budgets):
     """Decide homomorphism existence; exit 0 iff one exists."""
     g = _read_graph(gpath)
     h = _read_graph(hpath)
-    found = hom_exists(g, h, HomSearchConfig(node_budget=node_budget))
+    found = hom_exists(g, h, Budgets(**budgets))
     if found is None:
         click.echo("hom: none")
         sys.exit(FAIL_EXIT)
@@ -94,11 +104,11 @@ def hom(gpath, hpath, witness, node_budget):
 
 @cli.command()
 @click.option("-i", "infile", required=True, type=click.Path(exists=True))
-@click.option("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-def chromatic(infile, node_budget):
+@_budget_options("node_budget")
+def chromatic(infile, **budgets):
     """Chromatic number of a loopless graph."""
     g = _read_graph(infile)
-    click.echo(str(chromatic_number(g, HomSearchConfig(node_budget=node_budget))))
+    click.echo(str(chromatic_number(g, Budgets(**budgets))))
 
 
 @cli.command()
@@ -118,7 +128,7 @@ def box(infile, outfile):
 
 @cli.command()
 @click.option("-i", "infile", required=True, type=click.Path(exists=True))
-@click.option("--simplex-budget", type=int, default=DEFAULT_SIMPLEX_BUDGET)
+@_budget_options("simplex_budget")
 def homology(infile, simplex_budget):
     """Mod-2 Betti numbers and Euler characteristic of a complex file."""
     k = parse_complex(_read_text(infile))
@@ -133,14 +143,13 @@ def homology(infile, simplex_budget):
 @click.option("-i", "infile", required=True, type=click.Path(exists=True))
 @click.option("-k", "half", type=int, required=True, help="half index; functor index is 2k+1")
 @click.option("--certificate", type=click.Path(), default=None)
-@click.option("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
-@click.option("--simplex-budget", type=int, default=DEFAULT_SIMPLEX_BUDGET)
-def morse(which, infile, half, certificate, vertex_budget, simplex_budget):
+@_budget_options("vertex_budget", "simplex_budget")
+def morse(which, infile, half, certificate, **budgets):
     """Run both collapse recipes on the shortcut complex and certify them.
 
     --lemma only selects which lines and certificate steps are written."""
     g = _read_graph(infile)
-    sc = ShortcutComplex(g, half, vertex_budget, simplex_budget)
+    sc = ShortcutComplex(g, half, Budgets(**budgets))
     saturation, phases = shortcut_collapses(sc)
     shown = []  # (matching label, collapse label, pairs, certificate)
     if which in ("52", "both"):
@@ -209,14 +218,11 @@ def approx(infile, half, report_path):
 
 @cli.command()
 @click.argument("suite", type=click.Choice(list(SUITES) + ["all"]))
-@click.option("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
-@click.option("--simplex-budget", type=int, default=DEFAULT_SIMPLEX_BUDGET)
-@click.option("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+@_budget_options("vertex_budget", "simplex_budget", "node_budget")
 @click.option("-o", "outfile", type=click.Path(), default=None)
-def verify(suite, vertex_budget, simplex_budget, node_budget, outfile):
+def verify(suite, outfile, **budgets):
     """Run a verification suite; exit 0 iff all checks pass."""
-    budgets = Budgets(vertex_budget, simplex_budget, node_budget)
-    report = run_suite(suite, budgets)
+    report = run_suite(suite, Budgets(**budgets))
     for check in report["checks"]:
         click.echo(f"{check['status'].upper():8s} {check['id']}")
     click.echo(

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by all omegalab modules."""
+"""Exception taxonomy shared by all omegalab modules, and the budgets whose
+exhaustion raises ``ResourceError``."""
+
+from dataclasses import dataclass, fields
 
 
 class OmegalabError(Exception):
@@ -19,6 +22,29 @@ class ResourceError(OmegalabError, RuntimeError):
     Deliberately distinct from a negative answer: callers must never treat
     a budget cutoff as a proof of non-existence.
     """
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """The bounds of every bounded stage: the vertices of a graph or an
+    omega construction, the distinct faces of a complex, and the search
+    nodes of the homomorphism solver.  Each field must be at least 1.
+
+    Entry points that run more than one bounded stage take the record; a
+    primitive that enforces one bound takes its int, defaulting to the
+    field of ``DEFAULT_BUDGETS``."""
+
+    vertex_budget: int = 10**6
+    simplex_budget: int = 10**7
+    node_budget: int = 10_000_000
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ParameterError(f"{f.name.replace('_', ' ')} must be positive")
+
+
+DEFAULT_BUDGETS = Budgets()
 
 
 class ContractError(OmegalabError, RuntimeError):

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits, holders, mask_of, union_of
-from .errors import ContractError, ParameterError, PreconditionError, ResourceError
-from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood
+from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, PreconditionError, ResourceError
+from .graphs import Graph, common_neighborhood
 
 OmegaTuple = tuple[int, ...]
 
@@ -103,7 +103,7 @@ def subdivide(g: Graph, k: int) -> FunctorResult:
 
     Loops become closed walks of length k through the original vertex.
     Interior vertices are labeled "<u>-<v>/<pos>".  The n + m(k-1)
-    vertices count against ``DEFAULT_VERTEX_BUDGET`` before any is built.
+    vertices count against the default vertex budget before any is built.
     """
     _require_odd(k)
     if k == 1:
@@ -111,10 +111,8 @@ def subdivide(g: Graph, k: int) -> FunctorResult:
         return FunctorResult(g, "gamma", 1, g, origins=origins)
     edges = g.edges()
     n_new = g.n + len(edges) * (k - 1)
-    if n_new > DEFAULT_VERTEX_BUDGET:
-        raise ResourceError(
-            f"subdivision vertex budget {DEFAULT_VERTEX_BUDGET} exceeded at k={k} ({n_new} vertices)"
-        )
+    if n_new > (budget := DEFAULT_BUDGETS.vertex_budget):
+        raise ResourceError(f"subdivision vertex budget {budget} exceeded at k={k} ({n_new} vertices)")
     origins: list[tuple] = [("v", v) for v in range(g.n)]
     labels = [g.label_of(v) for v in range(g.n)]
     path_edges = []
@@ -169,7 +167,7 @@ def walk_power(g: Graph, k: int) -> Graph:
 
 # -- right adjoint -------------------------------------------------------------
 
-def omega(g: Graph, k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> FunctorResult:
+def omega(g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget) -> FunctorResult:
     """Right adjoint to the k-th walk power (k odd; k = 1 returns g).
 
     Vertices are tuples (A_0, ..., A_l), l = (k-1)/2, with A_0 a singleton
@@ -302,7 +300,7 @@ def saturate_tail(g: Graph, tup: OmegaTuple) -> OmegaTuple:
 
 
 def omega_prime(
-    g: Graph, k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET
+    g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget
 ) -> FunctorResult:
     """Shortcut extension of omega(g, k), k odd >= 3."""
     _require_odd(k, minimum=3)

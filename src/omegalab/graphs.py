@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits
-from .errors import ParameterError, ParseError, ResourceError
+from .errors import DEFAULT_BUDGETS, ParameterError, ParseError, ResourceError
 
-# the most vertices an input graph or an omega construction may have
-DEFAULT_VERTEX_BUDGET = 10**6
 # the most adjacency row bits (1 GiB) a graph built from an edge list may take
 ROW_BIT_BUDGET = 2**33
 
@@ -106,10 +104,6 @@ class Graph:
         return Graph(self.n, self.adj, tuple(labels))
 
 
-def same_adjacency(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and g.adj == h.adj
-
-
 # -- named families ----------------------------------------------------------
 
 def path_graph(n: int) -> Graph:
@@ -189,14 +183,12 @@ def is_joined(g: Graph, a_mask: int, b_mask: int) -> bool:
 def tensor_product(g: Graph, h: Graph) -> Graph:
     """Categorical product; vertex (u, w) gets row-major index u*h.n + w.
 
-    Its g.n*h.n vertices count against ``DEFAULT_VERTEX_BUDGET`` and its
+    Its g.n*h.n vertices count against the default vertex budget and its
     row bits against ``ROW_BIT_BUDGET`` before any row is built: row (u, w)
     ends at bit (highest neighbour of u)*h.n + (bit length of w's row)."""
-    hn = h.n
-    if g.n * hn > DEFAULT_VERTEX_BUDGET:
-        raise ResourceError(
-            f"tensor product vertex budget {DEFAULT_VERTEX_BUDGET} exceeded ({g.n * hn} vertices)"
-        )
+    hn, budget = h.n, DEFAULT_BUDGETS.vertex_budget
+    if g.n * hn > budget:
+        raise ResourceError(f"tensor product vertex budget {budget} exceeded ({g.n * hn} vertices)")
     ends = [row.bit_length() for row in h.adj if row]
     row_bits = sum((row.bit_length() - 1) * hn * len(ends) + sum(ends) for row in g.adj if row)
     _check_row_bits(row_bits)
@@ -300,10 +292,8 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError("p line fields must be integers", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("p line fields must be nonnegative", lineno)
-            if n > DEFAULT_VERTEX_BUDGET:
-                raise ParseError(
-                    f"{n} vertices exceed the vertex budget {DEFAULT_VERTEX_BUDGET}", lineno
-                )
+            if n > (budget := DEFAULT_BUDGETS.vertex_budget):
+                raise ParseError(f"{n} vertices exceed the vertex budget {budget}", lineno)
         elif kind == "e":
             if n is None:
                 raise ParseError("e line before p line", lineno)

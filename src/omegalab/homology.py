@@ -21,11 +21,13 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable
 
-from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, Faces
-from .errors import ContractError, ResourceError
+from .boxcomplex import Faces
+from .errors import DEFAULT_BUDGETS, ContractError, ResourceError
 
 
-def betti_mod2(simplices: Iterable[int], budget: int = DEFAULT_SIMPLEX_BUDGET) -> tuple[int, ...]:
+def betti_mod2(
+    simplices: Iterable[int], budget: int = DEFAULT_BUDGETS.simplex_budget
+) -> tuple[int, ...]:
     """Unreduced mod-2 Betti numbers of a simplex set (masks, all faces present).
 
     Mask order is also a locality order: the codimension-1 faces of a
@@ -96,13 +98,9 @@ def euler_characteristic(simplices: Iterable[int]) -> int:
     return chi
 
 
-def betti_of_complex(k, budget: int = DEFAULT_SIMPLEX_BUDGET) -> tuple[int, ...]:
+def betti_of_complex(k, budget: int = DEFAULT_BUDGETS.simplex_budget) -> tuple[int, ...]:
     """Betti vector of a facet-presented complex (materializes all faces)."""
     return betti_mod2(k.simplices(budget), budget)
-
-
-def euler_of_complex(k, budget: int = DEFAULT_SIMPLEX_BUDGET) -> int:
-    return euler_characteristic(k.simplices(budget))
 
 
 def convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

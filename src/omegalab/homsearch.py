@@ -14,29 +14,15 @@ mistake a timeout for a proof).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bitset import bits, mask_of, union_of
-from .errors import ParameterError, ParseError, PreconditionError, ResourceError
+from .errors import DEFAULT_BUDGETS, Budgets, ParseError, PreconditionError, ResourceError
 from .functors import Homomorphism
 from .graphs import Graph, clique
 
-DEFAULT_NODE_BUDGET = 10_000_000
+HomSearchConfig = Budgets  # the older name; the solver reads only ``node_budget``
 
 
-@dataclass(frozen=True)
-class HomSearchConfig:
-    node_budget: int = DEFAULT_NODE_BUDGET
-
-    def __post_init__(self):
-        if self.node_budget <= 0:
-            raise ParameterError("node budget must be positive")
-
-
-DEFAULT_CONFIG = HomSearchConfig()
-
-
-def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
+def hom_exists(g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS):
     """Return a validated homomorphism g -> h, or None if none exists."""
     n = g.n
     if n == 0:
@@ -97,9 +83,9 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
         low = untried & -untried
         stack.append((pos, untried ^ low, mark))
         nodes += 1
-        if nodes > cfg.node_budget:
+        if nodes > budgets.node_budget:
             raise ResourceError(
-                f"search node budget {cfg.node_budget} exhausted at depth {depth} of {n}"
+                f"search node budget {budgets.node_budget} exhausted at depth {depth} of {n}"
             )
         while len(trail) > mark:
             v, d, s = trail.pop()
@@ -117,7 +103,7 @@ def hom_exists(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
     return None
 
 
-def chromatic_number(g: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG) -> int:
+def chromatic_number(g: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """Least n such that g maps into the n-clique; g must be loopless."""
     if g.has_loops():
         raise PreconditionError("chromatic number is undefined for looped graphs")
@@ -127,7 +113,7 @@ def chromatic_number(g: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG) -> int:
         return 1
     lower = _greedy_clique(g)
     for n in range(lower, g.n + 1):
-        if hom_exists(g, clique(n), cfg) is not None:
+        if hom_exists(g, clique(n), budgets) is not None:
             return n
     raise AssertionError("unreachable: a loopless graph is n-colorable")
 
@@ -141,10 +127,10 @@ def _greedy_clique(g: Graph) -> int:
     return len(members)
 
 
-def hom_equivalent(g: Graph, h: Graph, cfg: HomSearchConfig = DEFAULT_CONFIG):
+def hom_equivalent(g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS):
     """(equivalent?, witness g->h, witness h->g)."""
-    fwd = hom_exists(g, h, cfg)
-    back = hom_exists(h, g, cfg)
+    fwd = hom_exists(g, h, budgets)
+    back = hom_exists(h, g, budgets)
     return fwd is not None and back is not None, fwd, back
 
 

@@ -46,10 +46,10 @@ from functools import cached_property
 from itertools import compress
 
 from .bitset import bits, holders, mask_of, union_of
-from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, Faces, FaceTable, Z2Complex, build_box
-from .errors import ContractError, ParameterError
+from .boxcomplex import Faces, FaceTable, Z2Complex, build_box
+from .errors import DEFAULT_BUDGETS, Budgets, ContractError, ParameterError
 from .functors import FunctorResult, omega, saturation_indices, shortcut
-from .graphs import DEFAULT_VERTEX_BUDGET, Graph, common_neighborhood
+from .graphs import Graph, common_neighborhood
 from .homology import betti_mod2
 
 
@@ -264,28 +264,22 @@ class ShortcutComplex:
     complex, and the per-position data the matchings consume (tail masks,
     saturation flags, pairwise join tables)."""
 
-    def __init__(
-        self,
-        g: Graph,
-        k: int,
-        vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-        simplex_budget: int = DEFAULT_SIMPLEX_BUDGET,
-    ):
+    def __init__(self, g: Graph, k: int, budgets: Budgets = DEFAULT_BUDGETS):
         if k < 1:
             raise ParameterError("half index must be >= 1")
         if g.has_loops():
             raise ParameterError("shortcut collapses need a loopless base graph")
         self.g = g
-        self.omega: FunctorResult = omega(g, 2 * k + 1, vertex_budget)
+        self.omega: FunctorResult = omega(g, 2 * k + 1, budgets.vertex_budget)
         sat = saturation_indices(g, self.omega)
         self.box: Z2Complex = build_box(shortcut(self.omega, sat).graph)
-        self.simplices: Faces = self.box.simplices(simplex_budget)
+        self.simplices: Faces = self.box.simplices(budgets.simplex_budget)
         # shortcut edges touch only omega's non-isolated vertices: one layout
         plain = build_box(self.omega.graph)
         if plain.base != self.box.base:
             raise ContractError("shortcut and unmodified box complexes differ in layout")
         # on a table of their own, which needs no shortcut face
-        self._plain_simplices: Faces = plain.simplices(simplex_budget)
+        self._plain_simplices: Faces = plain.simplices(budgets.simplex_budget)
 
         base = self.box.base  # positions -> vertex ids of the adjoint graph
         pos_of = {v: p for p, v in enumerate(base)}
@@ -532,17 +526,12 @@ def shortcut_collapses(sc: ShortcutComplex):
     return saturation, phases
 
 
-def pipeline(
-    g: Graph,
-    k: int,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    simplex_budget: int = DEFAULT_SIMPLEX_BUDGET,
-) -> dict:
+def pipeline(g: Graph, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> dict:
     """Full collapse pipeline at half index k: build the shortcut complex,
     run both collapses, and certify that all three box complexes share one
     mod-2 Betti vector.  Returns a report dict; raises on any falsification.
     """
-    sc = ShortcutComplex(g, k, vertex_budget, simplex_budget)
+    sc = ShortcutComplex(g, k, budgets)
     saturation, phases = shortcut_collapses(sc)
     sat_sub = saturation.remaining
     collapse_steps = {
@@ -552,10 +541,11 @@ def pipeline(
     del saturation, phases  # the homology below needs none of the steps or pairs
     plain = sc.plain_box_simplices()
 
+    simplex_budget = budgets.simplex_budget
     betti_shortcut = betti_mod2(sc.simplices, simplex_budget)
     betti_plain = betti_mod2(plain, simplex_budget)
     betti_saturated = betti_mod2(sat_sub, simplex_budget)
-    lower = omega(g, 2 * k - 1, vertex_budget)
+    lower = omega(g, 2 * k - 1, budgets.vertex_budget)
     lower_faces = build_box(lower.graph).simplices(simplex_budget)
     betti_lower = betti_mod2(lower_faces, simplex_budget)
 

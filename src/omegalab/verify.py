@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from functools import cache, partial
 
 from . import __version__
 from .approx import (
@@ -22,8 +22,8 @@ from .approx import (
     equivariant,
     max_facet_diameter_sq,
 )
-from .boxcomplex import DEFAULT_SIMPLEX_BUDGET, build_box
-from .errors import OmegalabError, ResourceError
+from .boxcomplex import build_box
+from .errors import DEFAULT_BUDGETS, Budgets, OmegalabError, ResourceError
 from .functors import (
     adjoint_witness_from_omega,
     adjoint_witness_to_omega,
@@ -34,7 +34,6 @@ from .functors import (
     walk_power,
 )
 from .graphs import (
-    DEFAULT_VERTEX_BUDGET,
     Graph,
     clique,
     cycle_graph,
@@ -44,13 +43,7 @@ from .graphs import (
     tensor_product,
 )
 from .homology import betti_of_complex, convolve
-from .homsearch import (
-    DEFAULT_NODE_BUDGET,
-    HomSearchConfig,
-    chromatic_number,
-    hom_equivalent,
-    hom_exists,
-)
+from .homsearch import chromatic_number, hom_equivalent, hom_exists
 from .morse import pipeline
 
 SUITES = (
@@ -76,16 +69,6 @@ def corpus() -> list[tuple[str, Graph]]:
         ("P4", path_graph(4)),
         ("Petersen", petersen()),
     ]
-
-
-@dataclass
-class Budgets:
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET
-    simplex_budget: int = DEFAULT_SIMPLEX_BUDGET
-    node_budget: int = DEFAULT_NODE_BUDGET
-
-    def search_config(self) -> HomSearchConfig:
-        return HomSearchConfig(node_budget=self.node_budget)
 
 
 class _Runner:
@@ -118,14 +101,17 @@ class _Runner:
 
 
 # -- suites --------------------------------------------------------------------
+#
+# An input that a budget can stop is built inside the checks that read it, so
+# that a budget stop marks those checks "resource" instead of ending the run;
+# ``cache(partial(...))`` still builds it once.
 
 def _suite_adjointness(r: _Runner, budgets: Budgets) -> None:
-    cfg = budgets.search_config()
     names = corpus()
     for k in (3, 5):
         subdivided = {n: subdivide(g, k).graph for n, g in names}
         powered = {n: walk_power(g, k) for n, g in names}
-        adjoints = {n: omega(g, k, budgets.vertex_budget) for n, g in names}
+        adjoints = {n: cache(partial(omega, g, k, budgets.vertex_budget)) for n, g in names}
         for gn, g in names:
             for hn, h in names:
                 r.run(
@@ -134,15 +120,15 @@ def _suite_adjointness(r: _Runner, budgets: Budgets) -> None:
                     f"G={gn} H={hn} k={k}",
                     True,
                     lambda g=g, h=h, gn=gn, hn=hn, k=k: (
-                        (hom_exists(subdivided[gn], h, cfg) is not None)
-                        == (hom_exists(g, powered[hn], cfg) is not None)
+                        (hom_exists(subdivided[gn], h, budgets) is not None)
+                        == (hom_exists(g, powered[hn], budgets) is not None)
                     ),
                 )
 
                 def both_sides(g=g, gn=gn, hn=hn, h=h, k=k):
-                    oh = adjoints[hn]
-                    f = hom_exists(powered[gn], h, cfg)
-                    back = hom_exists(g, oh.graph, cfg)
+                    oh = adjoints[hn]()
+                    f = hom_exists(powered[gn], h, budgets)
+                    back = hom_exists(g, oh.graph, budgets)
                     if (f is None) != (back is None):
                         return False
                     # transported witnesses must validate in both directions
@@ -187,22 +173,21 @@ def _suite_betti(r: _Runner, budgets: Budgets) -> None:
 
 
 def _suite_chromatic(r: _Runner, budgets: Budgets) -> None:
-    cfg = budgets.search_config()
     for n in (3, 4):
-        adjoint = omega(clique(n), 3, budgets.vertex_budget)
+        adjoint = cache(partial(omega, clique(n), 3, budgets.vertex_budget))
         r.run(
             f"chromatic/adjoint3-K{n}",
             "the index-3 right adjoint of the clique keeps its chromatic number",
             f"omega_3(K{n})",
             n,
-            lambda adjoint=adjoint: chromatic_number(adjoint.graph, cfg),
+            lambda adjoint=adjoint: chromatic_number(adjoint().graph, budgets),
         )
         r.run(
             f"oddwalk/adjoint3-K{n}",
             "no odd closed walk of length three or less",
             f"omega_3(K{n})",
             True,
-            lambda adjoint=adjoint: min_odd_closed_walk(adjoint.graph) > 3,
+            lambda adjoint=adjoint: min_odd_closed_walk(adjoint().graph) > 3,
         )
         r.run(
             f"power-equivalence/K{n}",
@@ -210,13 +195,12 @@ def _suite_chromatic(r: _Runner, budgets: Budgets) -> None:
             f"pi_3(omega_3(K{n})) vs K{n}",
             True,
             lambda adjoint=adjoint, n=n: hom_equivalent(
-                walk_power(adjoint.graph, 3), clique(n), cfg
+                walk_power(adjoint().graph, 3), clique(n), budgets
             )[0],
         )
 
 
 def _suite_squarefree(r: _Runner, budgets: Budgets) -> None:
-    cfg = budgets.search_config()
     members = [
         ("C5", cycle_graph(5)),
         ("C7", cycle_graph(7)),
@@ -225,10 +209,10 @@ def _suite_squarefree(r: _Runner, budgets: Budgets) -> None:
     ]
     for name, g in members:
         gamma = subdivide(g, 3)
-        adjoint = omega(g, 3, budgets.vertex_budget)
+        adjoint = cache(partial(omega, g, 3, budgets.vertex_budget))
 
         def embed(g=g, gamma=gamma, adjoint=adjoint):
-            emb = subdivision_embedding(g, 3, gamma, adjoint)
+            emb = subdivision_embedding(g, 3, gamma, adjoint())
             return emb.is_injective()
 
         r.run(
@@ -244,7 +228,7 @@ def _suite_squarefree(r: _Runner, budgets: Budgets) -> None:
             f"omega_3({name}) -> gamma_3({name})",
             True,
             lambda g=g, gamma=gamma, adjoint=adjoint: (
-                squarefree_retraction(g, 3, gamma, adjoint) is not None
+                squarefree_retraction(g, 3, gamma, adjoint()) is not None
             ),
         )
         r.run(
@@ -253,7 +237,7 @@ def _suite_squarefree(r: _Runner, budgets: Budgets) -> None:
             f"gamma_3({name}) vs omega_3({name})",
             True,
             lambda gamma=gamma, adjoint=adjoint: hom_equivalent(
-                gamma.graph, adjoint.graph, cfg
+                gamma.graph, adjoint().graph, budgets
             )[0],
         )
 
@@ -271,9 +255,7 @@ def _suite_morse(r: _Runner, budgets: Budgets) -> None:
             "both collapses reach their subcomplexes and all Betti vectors agree",
             f"shortcut complex of omega_3({name})",
             True,
-            lambda g=g: pipeline(
-                g, 1, budgets.vertex_budget, budgets.simplex_budget
-            )["betti_agree"],
+            lambda g=g: pipeline(g, 1, budgets)["betti_agree"],
         )
 
 
@@ -304,11 +286,11 @@ def _suite_kunneth(r: _Runner, budgets: Budgets) -> None:
 def _suite_approx(r: _Runner, budgets: Budgets) -> None:
     members = [("K2", clique(2), 5), ("K3", clique(3), 2), ("C5", cycle_graph(5), 4)]
     for name, g, k in members:
-        amap = build_approx_map(g, k)
+        amap = cache(partial(build_approx_map, g, k, budgets.vertex_budget))
         bound_sq = diameter_bound(g, k) ** 2
 
         def within(amap=amap, bound_sq=bound_sq):
-            return max_facet_diameter_sq(amap) < bound_sq
+            return max_facet_diameter_sq(amap()) < bound_sq
 
         r.run(
             f"approx/{name}-k{k}/bound",
@@ -322,7 +304,7 @@ def _suite_approx(r: _Runner, budgets: Budgets) -> None:
             "every facet image is carried by a single target simplex",
             f"{name}, half index {k}",
             True,
-            lambda amap=amap: carrier_check(amap) and equivariant(amap),
+            lambda amap=amap: carrier_check(amap()) and equivariant(amap()),
         )
     r.run(
         "approx/K2-k5/nonvacuous",
@@ -344,10 +326,8 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(suite: str, budgets: Budgets | None = None) -> dict:
+def run_suite(suite: str, budgets: Budgets = DEFAULT_BUDGETS) -> dict:
     """Run one suite (or "all") and return the report dict."""
-    if budgets is None:
-        budgets = Budgets()
     names = list(SUITES) if suite == "all" else [suite]
     for n in names:
         if n not in _SUITE_FNS:

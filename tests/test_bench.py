@@ -3,15 +3,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_benchmark_replay_still_runs_on_the_public_calls():
-    # the traced ladder replays pipeline() through saturation_matching,
-    # is_acyclic, collapse on plain sets and removal_phases; a change to
-    # those calls that breaks the benchmark fails here first
+@pytest.mark.parametrize("workload", ["ladder", "search", "construct"])
+def test_benchmark_replay_still_runs_on_the_public_calls(workload):
+    # the traced workloads call pipeline() through saturation_matching,
+    # is_acyclic, collapse on plain sets and removal_phases (ladder), the
+    # solver with HomSearchConfig(node_budget=...) (search) and
+    # build_approx_map(g, k) (construct); a change to those calls that
+    # breaks the benchmark fails here first
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "ladder", "--smoke"]
+        [sys.executable, "bench/run.py", "--workload", workload, "--smoke"]
         + ["--trace", "1", "--seconds", "1"],
         cwd=ROOT,
         capture_output=True,

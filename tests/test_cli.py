@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omegalab.morse
-from omegalab.cli import main
+from omegalab.boxcomplex import build_box, format_complex
+from omegalab.cli import cli, main
+from omegalab.errors import DEFAULT_BUDGETS, Budgets, ParameterError
 from omegalab.graphs import clique, cycle_graph, format_graph, parse_graph, petersen
 from omegalab.morse import pipeline
+from omegalab.verify import exit_code, run_suite
 
 from util import cli_env
 
@@ -214,6 +217,63 @@ def test_verify_exit_codes(tmp_path, capsys):
     # a starved budget must exit 2 (incomplete), not report a false negative
     code, text = run_cli(["verify", "morse", "--simplex-budget", "10"], capsys)
     assert code == 2 and "incomplete" in text
+    # the vertex budget bounds the adjoint the approximation map is built on
+    code, text = run_cli(["verify", "approx", "--vertex-budget", "1"], capsys)
+    assert code == 2 and "incomplete" in text
+
+
+def test_a_starved_vertex_budget_marks_checks_and_reports_them_all():
+    # an adjoint built outside its checks once ended the whole run, with no report
+    passing = {c["id"] for c in run_suite("all")["checks"] if c["status"] == "pass"}
+    report = run_suite("all", Budgets(vertex_budget=20))
+    statuses = {c["id"]: c["status"] for c in report["checks"]}
+    assert len(report["checks"]) == 234 and exit_code(report) == 2
+    assert {statuses[i] for i in passing} == {"pass", "resource"}
+
+
+BUDGET_FLAGS = {
+    "hom": ("node_budget",),
+    "chromatic": ("node_budget",),
+    "homology": ("simplex_budget",),
+    "morse": ("vertex_budget", "simplex_budget"),
+    "verify": ("vertex_budget", "simplex_budget", "node_budget"),
+}
+
+
+def test_each_budget_option_defaults_to_the_record():
+    options = {
+        name: [p for p in command.params if p.name.endswith("_budget")]
+        for name, command in cli.commands.items()
+    }
+    assert {n: tuple(p.name for p in ps) for n, ps in options.items() if ps} == BUDGET_FLAGS
+    assert all(p.default == getattr(DEFAULT_BUDGETS, p.name) for ps in options.values() for p in ps)
+
+
+@pytest.mark.parametrize("field", ["vertex_budget", "simplex_budget", "node_budget"])
+def test_a_nonpositive_budget_is_a_parameter_error(field):
+    with pytest.raises(ParameterError, match=field.replace("_", " ")):
+        Budgets(**{field: 0})
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, field", [(c, f) for c, fields in BUDGET_FLAGS.items() for f in fields]
+)
+def test_a_nonpositive_budget_flag_is_a_usage_error(tmp_path, graph_files, capsys, command, field, value):
+    complex_file = tmp_path / "k3.complex"
+    complex_file.write_text(format_complex(build_box(clique(3))))
+    k3 = str(graph_files["k3"])
+    argv = {
+        "hom": ["hom", "-g", k3, "-h", k3],
+        "chromatic": ["chromatic", "-i", k3],
+        "homology": ["homology", "-i", str(complex_file)],
+        "morse": ["morse", "-i", k3, "-k", "1"],
+        "verify": ["verify", "betti"],
+    }[command]
+    assert run_cli(argv, capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--" + field.replace("_", "-"), value])
+    assert exc.value.code == 64 and capsys.readouterr().err.startswith("usage error:")
 
 
 def test_verify_squarefree_reports_known_defect(capsys):

@@ -32,11 +32,10 @@ from omegalab.graphs import (
     is_joined,
     path_graph,
     petersen,
-    same_adjacency,
 )
 from omegalab.homsearch import hom_exists
 
-from util import is_isomorphic, omega_adjacent_oracle, random_graph
+from util import is_isomorphic, omega_adjacent_oracle, random_graph, same_adjacency
 
 
 def count_omega_vertices_bruteforce(g: Graph, k: int) -> int:

@@ -20,11 +20,10 @@ from omegalab.graphs import (
     parse_graph,
     path_graph,
     petersen,
-    same_adjacency,
     tensor_product,
 )
 
-from util import is_isomorphic, random_graph
+from util import is_isomorphic, random_graph, same_adjacency
 
 
 def test_family_examples():

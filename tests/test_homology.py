@@ -12,10 +12,15 @@ from omegalab.homology import (
     betti_of_complex,
     convolve,
     euler_characteristic,
-    euler_of_complex,
 )
 
-from util import betti_oracle, component_count, random_free_complex, random_graph
+from util import (
+    betti_oracle,
+    component_count,
+    euler_of_complex,
+    random_free_complex,
+    random_graph,
+)
 
 
 def full_simplex_faces(n):

@@ -10,7 +10,7 @@ import pytest
 
 from omegalab.bitset import bits
 from omegalab.boxcomplex import Faces, FaceTable, make_complex
-from omegalab.errors import ContractError, ResourceError
+from omegalab.errors import Budgets, ContractError, ResourceError
 from omegalab.graphs import Graph, clique, cycle_graph, is_joined, petersen
 from omegalab.homology import betti_mod2
 from omegalab.morse import (
@@ -166,11 +166,12 @@ def test_plain_box_is_the_box_complex_of_omega_in_shared_layout():
     # token names, holds exactly the shortcut simplices that are faces of
     # B(omega) by definition
     rng = random.Random(5150)
+    budgets = Budgets(vertex_budget=100, simplex_budget=5000)
     built = strict = 0
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.8))
         try:
-            sc = ShortcutComplex(g, rng.choice((1, 2)), vertex_budget=100, simplex_budget=5000)
+            sc = ShortcutComplex(g, rng.choice((1, 2)), budgets)
         except ResourceError:
             continue
         faces = {s for s in sc.simplices if is_box_face(sc.omega.graph, sc.box, s)}
@@ -304,10 +305,11 @@ def test_toggle_matching_refuses_non_involutions():
 def _seeded_shortcut_complexes():
     """The shortcut complexes of 250 seeded random graphs that fit the budgets."""
     rng = random.Random(2024)
+    budgets = Budgets(vertex_budget=200, simplex_budget=5000)
     for _ in range(250):
         g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
         try:
-            yield ShortcutComplex(g, rng.choice((1, 2)), vertex_budget=200, simplex_budget=5000)
+            yield ShortcutComplex(g, rng.choice((1, 2)), budgets)
         except ResourceError:
             continue
 
@@ -423,7 +425,7 @@ def test_a_facet_over_the_budget_stops_the_shortcut_complex_at_once():
     # the largest facet of K5's shortcut complex at k = 1 has 33 tokens
     start = time.perf_counter()
     with pytest.raises(ResourceError, match="simplex budget 1000000 exceeded"):
-        ShortcutComplex(clique(5), 1, simplex_budget=10**6)
+        ShortcutComplex(clique(5), 1, Budgets(simplex_budget=10**6))
     assert time.perf_counter() - start < 2.0
 
 

@@ -19,6 +19,7 @@ from omegalab.boxcomplex import Z2Complex, make_complex
 from omegalab.errors import ContractError
 from omegalab.functors import Homomorphism
 from omegalab.graphs import Graph, common_neighborhood, is_joined
+from omegalab.homology import euler_characteristic
 from omegalab.morse import MorseMatching
 
 
@@ -209,6 +210,14 @@ def collapse_by_masks(k: Z2Complex, simplices, sub, matching: MorseMatching):
     if alive != set(sub):
         return f"collapse stuck: {len(alive) - len(sub)} matched simplices remain"
     return steps, alive
+
+
+def same_adjacency(g: Graph, h: Graph) -> bool:
+    return g.n == h.n and g.adj == h.adj
+
+
+def euler_of_complex(k: Z2Complex) -> int:
+    return euler_characteristic(k.simplices())
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
