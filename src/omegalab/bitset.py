@@ -26,6 +26,30 @@ def union_of(rows, mask: int) -> int:
     return out
 
 
+class Folded(dict):
+    """A memo of a fold over the set bits of its keys: the value of a
+    missing key x is ``op(self[x without its lowest bit], rows[lowest bit
+    of x])``, and that of 0 is ``start``.  A miss whose prefix is held costs
+    one lookup and one ``op``; a deeper miss fills the prefixes it lacks on
+    the way back up, without recursion."""
+
+    __slots__ = ("rows", "op")
+
+    def __init__(self, rows, op, start):
+        super().__init__({0: start})
+        self.rows, self.op = rows, op
+
+    def __missing__(self, key: int):
+        path, x = [], key
+        while x not in self:
+            path.append(x)
+            x &= x - 1
+        out = self[x]
+        for x in reversed(path):
+            out = self[x] = self.op(out, self.rows[(x & -x).bit_length() - 1])
+        return out
+
+
 def holders(masks: Sequence[int]) -> dict[int, int]:
     """Map each element present in ``masks``, in ascending order, to the
     bitmask of the indices j whose ``masks[j]`` holds it.  Each set is

@@ -98,12 +98,14 @@ def _require_odd(k: int, minimum: int = 1) -> None:
 
 # -- subdivision --------------------------------------------------------------
 
-def subdivide(g: Graph, k: int) -> FunctorResult:
+def subdivide(
+    g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget
+) -> FunctorResult:
     """Replace every edge by a path of k edges (k odd; k = 1 returns g).
 
     Loops become closed walks of length k through the original vertex.
     Interior vertices are labeled "<u>-<v>/<pos>".  The n + m(k-1)
-    vertices count against the default vertex budget before any is built.
+    vertices count against ``vertex_budget`` before any is built.
     """
     _require_odd(k)
     if k == 1:
@@ -111,8 +113,10 @@ def subdivide(g: Graph, k: int) -> FunctorResult:
         return FunctorResult(g, "gamma", 1, g, origins=origins)
     edges = g.edges()
     n_new = g.n + len(edges) * (k - 1)
-    if n_new > (budget := DEFAULT_BUDGETS.vertex_budget):
-        raise ResourceError(f"subdivision vertex budget {budget} exceeded at k={k} ({n_new} vertices)")
+    if n_new > vertex_budget:
+        raise ResourceError(
+            f"subdivision vertex budget {vertex_budget} exceeded at k={k} ({n_new} vertices)"
+        )
     origins: list[tuple] = [("v", v) for v in range(g.n)]
     labels = [g.label_of(v) for v in range(g.n)]
     path_edges = []

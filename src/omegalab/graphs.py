@@ -180,15 +180,19 @@ def is_joined(g: Graph, a_mask: int, b_mask: int) -> bool:
     return True
 
 
-def tensor_product(g: Graph, h: Graph) -> Graph:
+def tensor_product(
+    g: Graph, h: Graph, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget
+) -> Graph:
     """Categorical product; vertex (u, w) gets row-major index u*h.n + w.
 
-    Its g.n*h.n vertices count against the default vertex budget and its
-    row bits against ``ROW_BIT_BUDGET`` before any row is built: row (u, w)
-    ends at bit (highest neighbour of u)*h.n + (bit length of w's row)."""
-    hn, budget = h.n, DEFAULT_BUDGETS.vertex_budget
-    if g.n * hn > budget:
-        raise ResourceError(f"tensor product vertex budget {budget} exceeded ({g.n * hn} vertices)")
+    Its g.n*h.n vertices count against ``vertex_budget`` and its row bits
+    against ``ROW_BIT_BUDGET`` before any row is built: row (u, w) ends at
+    bit (highest neighbour of u)*h.n + (bit length of w's row)."""
+    hn = h.n
+    if g.n * hn > vertex_budget:
+        raise ResourceError(
+            f"tensor product vertex budget {vertex_budget} exceeded ({g.n * hn} vertices)"
+        )
     ends = [row.bit_length() for row in h.adj if row]
     row_bits = sum((row.bit_length() - 1) * hn * len(ends) + sum(ends) for row in g.adj if row)
     _check_row_bits(row_bits)

@@ -26,26 +26,34 @@ the face-level steps only when they are read.
 Both recipes, their collapses and the shortcut complex's Betti vector read
 one face table (``boxcomplex.FaceTable``), built once per shortcut complex:
 dense ids in mask order, and every face's codimension-1 faces and mirror as
-ids.  A recipe emits partner ids over it, the removal phases by one offense
-scan per simplex (``ShortcutComplex.offense``), and is collapsed on ids
-(``_collapse_ids``), with flag sets for domains, targets and the faces a
-collapse leaves; ``saturation_matching`` and ``removal_phases`` read the
-recipes back as masks.  ``collapse`` turns a matching of masks into ids once
-and runs the same checks and loop.  Ids in mask order make the heap pop
-faces in the order a heap of masks would, so the certificates are those of
-a collapse on masks.
+ids.  A recipe emits partner ids over it.  The removal phases come from one
+scan over the faces outside the unmodified box complex, one face of each
+mirror pair, that reads each face's offense and capped tail from folded
+memos keyed by shore sets (``bitset.Folded``): offender rows ORed over a
+shore, common neighborhoods ANDed over one.  The memos hold one entry per
+shore set the scan meets and are dropped with it.  Recipes are collapsed
+on ids by ``_CollapseState``, with flag sets for domains, targets and the
+faces a collapse leaves; it counts cofacets once, and the three phases run
+on one state, each going on from where the last one ended.
+``saturation_matching`` and ``removal_phases`` read the recipes back as
+masks.  ``collapse`` turns a matching of masks into ids once and runs the
+same checks and loop on a fresh state.  Ids in mask order make the heap
+pop faces in the order a heap of masks would, so the certificates are
+those of a collapse on masks.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
+from collections.abc import Iterable
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import and_, not_, or_
 
-from .bitset import bits, holders, mask_of, union_of
+from .bitset import Folded, bits, holders, mask_of, union_of
 from .boxcomplex import Faces, FaceTable, Z2Complex, build_box
 from .errors import DEFAULT_BUDGETS, Budgets, ContractError, ParameterError
 from .functors import FunctorResult, omega, saturation_indices, shortcut
@@ -146,8 +154,8 @@ def collapse(
 
     The pairs are turned into ids of the face table ``simplices`` is drawn
     from (a new table when it is a plain set) once; the checks and the
-    collapse then run on ids (``_collapse_ids``).  The remaining faces are
-    drawn from the same table.
+    collapse then run on ids, on a fresh ``_CollapseState``.  The remaining
+    faces are drawn from the same table.
     """
     if not complex_.free:
         raise ContractError("equivariant collapses need a free complex")
@@ -175,84 +183,97 @@ def collapse(
             raise ContractError("a simplex appears in two matching pairs")
         partner[ia], partner[ib] = ib, ia
         pairs.append((ia, ib))
-    return _collapse_ids(complex_, simplices, sub, partner, pairs, strays)
+    return _CollapseState(complex_, simplices).run(sub, partner, pairs, strays)
 
 
-def _collapse_ids(
-    complex_: Z2Complex,
-    simplices: Faces,
-    sub: AbstractSet[int],
-    partner: array,
-    pairs: list[tuple[int, int]],
-    strays: dict[int, int],
-) -> CollapseCertificate:
-    """``collapse`` on ids of the table ``simplices`` is drawn from: the
-    ``pairs`` (face, cofacet) are checked in order, then the cover, then the
-    heap loop runs.  ``partner`` maps every matched id to its partner and
-    holds -1 elsewhere; ids past the table are ``strays``, by mask."""
-    table = simplices.table
-    matched = len(partner) - partner.count(-1)
-    n = len(table.masks)
-    masks = table.masks + list(strays) if strays else table.masks
-    mirror = table.mirrors(complex_.h)
-    inside = simplices.drawn(sub)
-    known, protected = simplices.flags, inside.flags
-    lower = bytearray(n)
-    for ia, ib in pairs:
-        a, b = masks[ia], masks[ib]
-        if a.bit_count() + 1 != b.bit_count() or a & ~b:
-            raise ContractError("matching pair is not a face/cofacet pair")
-        if ia >= n or ib >= n or not (known[ia] and known[ib]):
-            raise ContractError("matching pair uses unknown simplices")
-        if protected[ia] or protected[ib]:
-            raise ContractError("matching touches the protected subcomplex")
-        # a mirror outside the table can only be a stray
-        ma = mirror[ia] if mirror[ia] >= 0 else strays.get(complex_.mirror(a), -1)
-        mb = mirror[ib] if mirror[ib] >= 0 else strays.get(complex_.mirror(b), -1)
-        if ma < 0 or partner[ma] < 0 or partner[ma] != mb:
-            raise ContractError("matching is not equivariant")
-        lower[ia] = 1
-    # every pair member lies in simplices - sub, so the sizes decide the cover
-    if len(inside) != len(sub) or not inside <= simplices or matched != len(simplices) - len(sub):
-        raise ContractError("matching does not cover the simplices outside the subcomplex")
+class _CollapseState:
+    """A collapse in progress on ids of one face table: a flag per face
+    still in the complex and, per face, the number of its cofacets still
+    in it.  Built from ``simplices``, counting the cofacets once over the
+    flat boundary ids; each ``run`` collapses onto a target and leaves the
+    state there, so the next run continues from that target."""
 
-    offsets, ids = table.boundary()
-    alive = bytearray(simplices.flags)
-    counts = [0] * n  # alive cofacets per face
-    for s in simplices.ids():
-        for f in ids[offsets[s] : offsets[s + 1]]:
+    def __init__(self, complex_: Z2Complex, simplices: Faces):
+        table = simplices.table
+        n = len(table.masks)
+        self.complex_, self.current = complex_, simplices
+        self.mirror = table.mirrors(complex_.h)
+        self.offsets, self.ids = offsets, ids = table.boundary()
+        self.alive = bytearray(simplices.flags)
+        self.counts = counts = [0] * n
+        for f in ids:
             counts[f] += 1
-    heap = [low for low in compress(range(n), lower) if counts[low] == 1]
-    heapq.heapify(heap)
-    steps: list[tuple[int, int]] = []
+        for s in compress(range(n), map(not_, self.alive)):  # not in simplices
+            for f in ids[offsets[s] : offsets[s + 1]]:
+                counts[f] -= 1
 
-    def remove(s: int) -> None:
-        alive[s] = 0
-        for f in ids[offsets[s] : offsets[s + 1]]:
-            c = counts[f] - 1
-            counts[f] = c
-            if c == 1 and lower[f] and alive[f]:
-                heapq.heappush(heap, f)
+    def run(
+        self,
+        sub: AbstractSet[int],
+        partner: array,
+        pairs: list[tuple[int, int]],
+        strays: dict[int, int],
+    ) -> CollapseCertificate:
+        """``collapse`` from the current faces onto ``sub``, on ids: the
+        ``pairs`` (face, cofacet) are checked in order, then the cover, then
+        the heap loop runs.  ``partner`` maps every matched id to its partner
+        and holds -1 elsewhere; ids past the table are ``strays``, by mask."""
+        complex_, simplices = self.complex_, self.current
+        table = simplices.table
+        matched = len(partner) - partner.count(-1)
+        n = len(table.masks)
+        masks = table.masks + list(strays) if strays else table.masks
+        mirror = self.mirror
+        inside = simplices.drawn(sub)
+        known, protected = simplices.flags, inside.flags
+        lower = bytearray(n)
+        for ia, ib in pairs:
+            a, b = masks[ia], masks[ib]
+            if a.bit_count() + 1 != b.bit_count() or a & ~b:
+                raise ContractError("matching pair is not a face/cofacet pair")
+            if ia >= n or ib >= n or not (known[ia] and known[ib]):
+                raise ContractError("matching pair uses unknown simplices")
+            if protected[ia] or protected[ib]:
+                raise ContractError("matching touches the protected subcomplex")
+            # a mirror outside the table can only be a stray
+            ma = mirror[ia] if mirror[ia] >= 0 else strays.get(complex_.mirror(a), -1)
+            mb = mirror[ib] if mirror[ib] >= 0 else strays.get(complex_.mirror(b), -1)
+            if ma < 0 or partner[ma] < 0 or partner[ma] != mb:
+                raise ContractError("matching is not equivariant")
+            lower[ia] = 1
+        # every pair member lies in simplices - sub, so the sizes decide the cover
+        covered = matched == len(simplices) - len(sub)
+        if len(inside) != len(sub) or not inside <= simplices or not covered:
+            raise ContractError("matching does not cover the simplices outside the subcomplex")
 
-    while heap:
-        low = heapq.heappop(heap)
-        if not alive[low] or counts[low] != 1:
-            continue
-        up = partner[low]
-        mlow, mup = mirror[low], mirror[up]
-        if counts[mlow] != 1:  # only when simplices or sub is not swap-symmetric
-            raise ContractError("mirror step is not an elementary collapse")
-        for s in (low, up, mlow, mup):
-            remove(s)
-        steps.append((masks[low], masks[up]))
-        steps.append((masks[mlow], masks[mup]))
+        offsets, ids, alive, counts = self.offsets, self.ids, self.alive, self.counts
+        heap = [low for low in compress(range(n), lower) if counts[low] == 1]
+        heapq.heapify(heap)
+        steps: list[tuple[int, int]] = []
+        while heap:
+            low = heapq.heappop(heap)
+            if not alive[low] or counts[low] != 1:
+                continue
+            up = partner[low]
+            mlow, mup = mirror[low], mirror[up]
+            if counts[mlow] != 1:  # only when simplices or sub is not swap-symmetric
+                raise ContractError("mirror step is not an elementary collapse")
+            for s in (low, up, mlow, mup):
+                alive[s] = 0
+                for f in ids[offsets[s] : offsets[s + 1]]:
+                    c = counts[f] = counts[f] - 1
+                    if c == 1 and lower[f] and alive[f]:
+                        heapq.heappush(heap, f)
+            steps.append((masks[low], masks[up]))
+            steps.append((masks[mlow], masks[mup]))
 
-    if alive != inside.flags:
-        raise ContractError(
-            f"collapse stuck: {alive.count(1) - len(sub)} matched simplices remain; "
-            "the matching is cyclic or the target is not a subcomplex"
-        )
-    return CollapseCertificate(tuple(steps), Faces(table, alive))
+        if alive != inside.flags:
+            raise ContractError(
+                f"collapse stuck: {alive.count(1) - len(sub)} matched simplices remain; "
+                "the matching is cyclic or the target is not a subcomplex"
+            )
+        self.current = Faces(table, alive)
+        return CollapseCertificate(tuple(steps), self.current)
 
 
 # -- the shortcut-complex machinery -------------------------------------------
@@ -262,7 +283,7 @@ class ShortcutComplex:
     """Bundles the right-adjoint graph of index 2k+1, the box complex of its
     shortcut extension with its faces, the faces of its unmodified box
     complex, and the per-position data the matchings consume (tail masks,
-    saturation flags, pairwise join tables)."""
+    saturation flags, offender rows and common neighborhoods)."""
 
     def __init__(self, g: Graph, k: int, budgets: Budgets = DEFAULT_BUDGETS):
         if k < 1:
@@ -293,18 +314,17 @@ class ShortcutComplex:
         self.sat_token = [pos_of[sat[v]] for v in base]  # partner's position, per position
         self.pos_of = pos_of
 
-        # join tables over positions: q is in row p unless tail(q) (in
-        # join_tail_tail) or subtail(q) (in join_tail_subtail) holds a vertex
-        # outside CN(tail(p)); the holder sets name the q holding each vertex
-        cns = [common_neighborhood(g, t) for t in self.tail]
-
-        def joined(rows: list[int]) -> list[int]:
-            held = holders(rows)
-            present = mask_of(held)
-            return [self.box.white & ~union_of(held, present & ~cn) for cn in cns]
-
-        self.join_tail_tail = joined(self.tail)
-        self.join_tail_subtail = joined(self.subtail)
+        # offender rows over positions: row q of ``tail_offenders`` holds the
+        # positions p whose tail fails to join tail(q), that is, whose tail
+        # holds a vertex outside CN(tail(q)); ``subtail_offenders`` the same
+        # for subtail(q).  The common neighborhoods are the rows of the
+        # capped tail's memos (``_phase_partners``).
+        self.cn_tail = [common_neighborhood(g, t) for t in self.tail]
+        self.cn_subtail = [common_neighborhood(g, t) for t in self.subtail]
+        held = holders(self.tail)
+        present = mask_of(held)
+        self.tail_offenders = [union_of(held, present & ~cn) for cn in self.cn_tail]
+        self.subtail_offenders = [union_of(held, present & ~cn) for cn in self.cn_subtail]
 
     def plain_box_simplices(self) -> Faces:
         """The simplices of the unmodified box complex, built with the
@@ -313,28 +333,44 @@ class ShortcutComplex:
 
     def offense(self, mask: int) -> tuple[int, int, int] | None:
         """Why a simplex lies outside the unmodified box complex, as
-        ``(phase, lead, shore)``, or None when it lies inside.
+        ``(phase, lead, shore)``, or None when it lies inside; read from an
+        ``offense_scan`` kept for these calls.  The removal phases run a scan
+        of their own, so no memo outlives them."""
+        return self._offense(*self.box.split(mask))
+
+    @cached_property
+    def _offense(self):
+        return self.offense_scan()
+
+    def offense_scan(self):
+        """The offense of a simplex from its two shores ``(lo, hi)``, read
+        from folded memos that belong to the returned function.
 
         A lead p offends on its own shore when its tail fails to join some
         subtail there, and across when it fails to join some tail on the
-        other shore.  One pass over the positions in ascending order: the
-        first unsaturated same-shore lead gives phase 1 at once; else the
-        first saturated same-shore lead gives phase 2; else the first
-        cross-shore lead gives phase 3.  A position on both shores is read
-        on the white one."""
-        lo, hi = self.box.split(mask)
-        later = None
-        for p in bits(lo | hi):
-            shore = 0 if lo >> p & 1 else 1
-            mine, other = (lo, hi) if shore == 0 else (hi, lo)
-            if mine & ~self.join_tail_subtail[p]:
-                if not self.saturated_pos >> p & 1:
-                    return 1, p, shore
-                if later is None or later[0] == 3:
-                    later = 2, p, shore
-            elif later is None and other & ~self.join_tail_tail[p]:
-                later = 3, p, shore
-        return later
+        other shore; a position on both shores is read on the white one.
+        The leads offending on a shore set S are the union of the offender
+        rows over S, one memo lookup.  The least unsaturated same-shore lead
+        gives phase 1; else the least same-shore lead, saturated, gives
+        phase 2; else the least cross-shore lead gives phase 3."""
+        same = Folded(self.subtail_offenders, or_, 0)
+        cross = Folded(self.tail_offenders, or_, 0)
+        unsaturated = ~self.saturated_pos
+
+        def offense(lo: int, hi: int) -> tuple[int, int, int] | None:
+            black = hi & ~lo
+            if lead := (leads := lo & same[lo] | black & same[hi]) & unsaturated:
+                phase = 1
+            elif lead := leads:
+                phase = 2
+            elif lead := lo & cross[hi] | black & cross[lo]:
+                phase = 3
+            else:
+                return None
+            lead &= -lead
+            return phase, lead.bit_length() - 1, 0 if lo & lead else 1
+
+        return offense
 
 
 def saturation_matching(sc: ShortcutComplex) -> tuple[MorseMatching, set[int]]:
@@ -368,7 +404,7 @@ Recipe = tuple[Faces, list[tuple[int, int]], array]
 
 
 def _toggle_pairs(
-    table: FaceTable, domain: list[int], partner: array
+    table: FaceTable, domain: Iterable[int], partner: array
 ) -> tuple[Faces, list[tuple[int, int]]]:
     """Check a recipe's toggle and pair its domain up.  ``domain`` holds
     ids of ``table`` in ascending order and ``partner[i]`` the id of i's
@@ -412,43 +448,64 @@ def _saturation_partners(sc: ShortcutComplex) -> Recipe:
 def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
     """The removal phases as recipes, in collapse order.  A simplex outside
     the unmodified box complex goes to the phase of its offense
-    (``ShortcutComplex.offense``)."""
-    table = sc.simplices.table
-    masks, get = table.masks, table.index.get
-    capped: dict[tuple[int, int], int] = {}  # one capped tail per (mine, other & ~saturated)
-    replaced: dict[tuple[int, int], int] = {}  # (p, tail) -> position of the replacement
-    phases = [([], array("i", [-1]) * len(masks)) for _ in range(3)]
-    for i in (sc.simplices - sc.plain_box_simplices()).ids():
-        s = masks[i]
-        if (offense := sc.offense(s)) is None:
-            raise ContractError(f"extra simplex {s:#x} matches no phase")
-        phase, p, shore = offense
-        lo, hi = sc.box.split(s)
-        mine, other = (lo, hi) if shore == 0 else (hi, lo)
-        if phase == 3:
-            tail = union_of(sc.subtail, other)  # the other shore's subtails
-        elif (tail := capped.get(key := (mine, other & ~sc.saturated_pos))) is None:
-            tail = capped[key] = _capped_tail(sc, *key)
-        if (pos := replaced.get(key := (p, tail))) is None:
-            pos = replaced[key] = _replacement(sc, p, tail)
-        domain, partner = phases[phase - 1]
-        domain.append(i)
-        partner[i] = get(s ^ (1 << sc.box.token(pos, shore)), -1)
-    return [(*_toggle_pairs(table, domain, partner), partner) for domain, partner in phases]
+    (``ShortcutComplex.offense_scan``) and is toggled at the position of
+    the tuple that replaces its lead's tail.
 
-
-def _capped_tail(sc: ShortcutComplex, mine: int, unsaturated: int) -> int:
-    """Common neighborhood of the pooled shore sets (phases 1 and 2): the
-    subtails of this shore and the tails of the other shore's unsaturated
-    positions.
+    In phase 3 that tail is the union of the other shore's subtails.  In
+    phases 1 and 2 it is the capped tail: the common neighborhood of the
+    pooled shore sets, the subtails of this shore and the tails of the other
+    shore's unsaturated positions.  As CN(A | B) = CN(A) & CN(B), it is one
+    AND of two folded memos of common neighborhoods, one per shore set.
 
     Without those tails a toggle can leave the shortcut complex (an input in
     ``test_morse.PIPELINE_REPORTS`` shows it), but only in phase 2.  An
     unsaturated position r on the other shore is joined to the lead p by an
     Omega' edge between two unsaturated tuples, which is an Omega edge, so
     tail(r) <= CN(tail(p)); every subtail on p's shore lies in tail(r), so p
-    has no same-shore offense and the simplex is not in phase 1."""
-    return common_neighborhood(sc.g, union_of(sc.subtail, mine) | union_of(sc.tail, unsaturated))
+    has no same-shore offense and the simplex is not in phase 1.
+
+    In a free complex a simplex and its mirror have the same leads, phase,
+    lead position and tail, on swapped shores, so the mirror's toggle is
+    the toggle's mirror: each mirror pair is scanned once, at its lesser id.
+    The memos belong to this scan and go with it."""
+    if not sc.box.free:
+        raise ContractError("equivariant collapses need a free complex")
+    table = sc.simplices.table
+    masks, get, mirror = table.masks, table.index.get, table.mirrors(sc.box.h)
+    white, h, unsaturated = sc.box.white, sc.box.h, ~sc.saturated_pos
+    offense = sc.offense_scan()
+    everything = sc.g.vertex_mask()
+    capped_mine = Folded(sc.cn_subtail, and_, everything)
+    capped_other = Folded(sc.cn_tail, and_, everything)
+    replaced: dict[tuple[int, int], int] = {}  # (p, tail) -> position of the replacement
+    phase_of = bytearray(len(masks))  # 0 until the face or its mirror is scanned
+    partners = [array("i", [-1]) * len(masks) for _ in range(3)]
+    for i in (sc.simplices - sc.plain_box_simplices()).ids():
+        if phase_of[i]:
+            continue
+        s = masks[i]
+        lo, hi = s & white, s >> h
+        if (found := offense(lo, hi)) is None:
+            raise ContractError(f"extra simplex {s:#x} matches no phase")
+        phase, p, shore = found
+        mine, other = (hi, lo) if shore else (lo, hi)
+        if phase == 3:
+            tail = union_of(sc.subtail, other)
+        else:
+            tail = capped_mine[mine] & capped_other[other & unsaturated]
+        if (pos := replaced.get(key := (p, tail))) is None:
+            pos = replaced[key] = _replacement(sc, p, tail)
+        j = get(s ^ 1 << (pos + h if shore else pos), -1)  # the token of pos on the shore
+        m = mirror[i]
+        phase_of[i] = phase_of[m] = phase
+        partner = partners[phase - 1]
+        partner[i], partner[m] = j, mirror[j] if j >= 0 else -1
+    recipes, ids = [], range(len(masks))
+    for phase, partner in enumerate(partners, 1):
+        # 1 where the face is in this phase, else 0
+        in_phase = phase_of.translate(bytes(b == phase for b in range(256)))
+        recipes.append((*_toggle_pairs(table, compress(ids, in_phase), partner), partner))
+    return recipes
 
 
 def _replacement(sc: ShortcutComplex, p: int, tail: int) -> int:
@@ -501,8 +558,8 @@ class SaturationCollapse:
     @cached_property
     def steps(self) -> tuple[tuple[int, int], ...]:
         _, pairs, partner = _saturation_partners(self.sc)
-        cert = _collapse_ids(self.sc.box, self.sc.simplices, self.remaining, partner, pairs, {})
-        return cert.steps
+        state = _CollapseState(self.sc.box, self.sc.simplices)
+        return state.run(self.remaining, partner, pairs, {}).steps
 
 
 def shortcut_collapses(sc: ShortcutComplex):
@@ -510,18 +567,17 @@ def shortcut_collapses(sc: ShortcutComplex):
 
     Returns ``(saturation, phases)``: the ``SaturationCollapse`` onto the
     saturated-image subcomplex, and the certificates of the three removal
-    phases, in collapse order.  Every phase's pairs are checked on ids
-    inside ``_collapse_ids``; raises unless the phases end exactly on the
-    unmodified box complex.
+    phases, in collapse order.  The phases run on one ``_CollapseState``,
+    each phase's pairs checked on ids as it starts; raises unless the phases
+    end exactly on the unmodified box complex.
     """
     saturation = SaturationCollapse(sc)
-    current = sc.simplices
-    phases = []
-    for domain, pairs, partner in _phase_partners(sc):
-        target = current - domain
-        phases.append(_collapse_ids(sc.box, current, target, partner, pairs, {}))
-        current = target
-    if current != sc.plain_box_simplices():
+    recipes = _phase_partners(sc)
+    state = _CollapseState(sc.box, sc.simplices)
+    phases = [
+        state.run(state.current - domain, partner, pairs, {}) for domain, pairs, partner in recipes
+    ]
+    if state.current != sc.plain_box_simplices():
         raise ContractError("three-phase collapse missed the unmodified box complex")
     return saturation, phases
 

@@ -109,7 +109,7 @@ class _Runner:
 def _suite_adjointness(r: _Runner, budgets: Budgets) -> None:
     names = corpus()
     for k in (3, 5):
-        subdivided = {n: subdivide(g, k).graph for n, g in names}
+        subdivided = {n: cache(partial(subdivide, g, k, budgets.vertex_budget)) for n, g in names}
         powered = {n: walk_power(g, k) for n, g in names}
         adjoints = {n: cache(partial(omega, g, k, budgets.vertex_budget)) for n, g in names}
         for gn, g in names:
@@ -120,7 +120,7 @@ def _suite_adjointness(r: _Runner, budgets: Budgets) -> None:
                     f"G={gn} H={hn} k={k}",
                     True,
                     lambda g=g, h=h, gn=gn, hn=hn, k=k: (
-                        (hom_exists(subdivided[gn], h, budgets) is not None)
+                        (hom_exists(subdivided[gn]().graph, h, budgets) is not None)
                         == (hom_exists(g, powered[hn], budgets) is not None)
                     ),
                 )
@@ -208,11 +208,11 @@ def _suite_squarefree(r: _Runner, budgets: Budgets) -> None:
         ("Petersen", petersen()),
     ]
     for name, g in members:
-        gamma = subdivide(g, 3)
+        gamma = cache(partial(subdivide, g, 3, budgets.vertex_budget))
         adjoint = cache(partial(omega, g, 3, budgets.vertex_budget))
 
         def embed(g=g, gamma=gamma, adjoint=adjoint):
-            emb = subdivision_embedding(g, 3, gamma, adjoint())
+            emb = subdivision_embedding(g, 3, gamma(), adjoint())
             return emb.is_injective()
 
         r.run(
@@ -228,7 +228,7 @@ def _suite_squarefree(r: _Runner, budgets: Budgets) -> None:
             f"omega_3({name}) -> gamma_3({name})",
             True,
             lambda g=g, gamma=gamma, adjoint=adjoint: (
-                squarefree_retraction(g, 3, gamma, adjoint()) is not None
+                squarefree_retraction(g, 3, gamma(), adjoint()) is not None
             ),
         )
         r.run(
@@ -237,7 +237,7 @@ def _suite_squarefree(r: _Runner, budgets: Budgets) -> None:
             f"gamma_3({name}) vs omega_3({name})",
             True,
             lambda gamma=gamma, adjoint=adjoint: hom_equivalent(
-                gamma.graph, adjoint().graph, budgets
+                gamma().graph, adjoint().graph, budgets
             )[0],
         )
 
@@ -267,7 +267,9 @@ def _suite_kunneth(r: _Runner, budgets: Budgets) -> None:
     ]
     for an, a, bn, b, expected in pairs:
         def both(a=a, b=b):
-            direct = betti_of_complex(build_box(tensor_product(a, b)), budgets.simplex_budget)
+            direct = betti_of_complex(
+                build_box(tensor_product(a, b, budgets.vertex_budget)), budgets.simplex_budget
+            )
             conv = convolve(
                 betti_of_complex(build_box(a), budgets.simplex_budget),
                 betti_of_complex(build_box(b), budgets.simplex_budget),

@@ -231,6 +231,23 @@ def test_a_starved_vertex_budget_marks_checks_and_reports_them_all():
     assert {statuses[i] for i in passing} == {"pass", "resource"}
 
 
+def test_the_vertex_budget_bounds_subdivisions_and_products():
+    # gamma_5(Petersen) has 70 vertices and K3 x K3 has 9; both were built at
+    # the default budget whatever budget the suite was given
+    def statuses(suite, vertex_budget):
+        report = run_suite(suite, Budgets(vertex_budget=vertex_budget))
+        return {c["id"]: c["status"] for c in report["checks"]}
+
+    adjointness = statuses("adjointness", 20)
+    assert adjointness["adjointness/k5/Petersen->K2/subdivision-power"] == "resource"
+    assert adjointness["adjointness/k5/K2->K2/subdivision-power"] == "pass"
+    assert statuses("kunneth", 5) == {
+        "kunneth/K2xK2": "pass",
+        "kunneth/K3xK3": "resource",
+        "kunneth/K3xC5": "resource",
+    }
+
+
 BUDGET_FLAGS = {
     "hom": ("node_budget",),
     "chromatic": ("node_budget",),

@@ -89,6 +89,12 @@ def test_subdivide_examples():
         subdivide(g, 2)
 
 
+def test_subdivide_counts_against_the_given_vertex_budget():
+    assert subdivide(cycle_graph(5), 3, vertex_budget=15).graph.n == 15
+    with pytest.raises(ResourceError, match="subdivision vertex budget 14 exceeded"):
+        subdivide(cycle_graph(5), 3, vertex_budget=14)
+
+
 def test_subdivide_loop_becomes_closed_walk():
     loop = Graph.from_edges(1, [(0, 0)])
     tri = subdivide(loop, 3).graph

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -73,10 +74,27 @@ def test_joined_iff_contained_in_common_neighborhood():
         assert joined == is_joined(g, b, a)
 
 
+def test_common_neighborhood_of_a_union_is_the_intersection():
+    # CN(A | B) = CN(A) & CN(B), which lets the capped tail of the removal
+    # phases AND one memo per shore
+    rng = random.Random(6464)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.9), loop_p=0.2)
+        a, b = rng.getrandbits(g.n), rng.getrandbits(g.n)
+        cn = functools.partial(common_neighborhood, g)
+        assert cn(a | b) == cn(a) & cn(b)
+
+
 def test_tensor_product():
     two_edges = tensor_product(clique(2), clique(2))
     assert two_edges.n == 4 and two_edges.edge_count() == 2
     assert is_isomorphic(tensor_product(cycle_graph(5), clique(2)), cycle_graph(10))
+
+
+def test_tensor_product_counts_against_the_given_vertex_budget():
+    assert tensor_product(clique(3), clique(3), vertex_budget=9).n == 9
+    with pytest.raises(ResourceError, match="tensor product vertex budget 8 exceeded"):
+        tensor_product(clique(3), clique(3), vertex_budget=8)
 
 
 def test_tensor_product_checks_its_budgets_before_building_rows():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -8,15 +9,17 @@ from array import array
 
 import pytest
 
+from omegalab import morse
 from omegalab.bitset import bits
 from omegalab.boxcomplex import Faces, FaceTable, make_complex
 from omegalab.errors import Budgets, ContractError, ResourceError
-from omegalab.graphs import Graph, clique, cycle_graph, is_joined, petersen
+from omegalab.graphs import Graph, clique, common_neighborhood, cycle_graph, is_joined, petersen
 from omegalab.homology import betti_mod2
 from omegalab.morse import (
     MorseMatching,
     SaturationCollapse,
     ShortcutComplex,
+    _phase_partners,
     _toggle_pairs,
     collapse,
     is_acyclic,
@@ -32,6 +35,7 @@ from util import (
     is_box_face,
     offense_leads,
     offense_oracle,
+    phase_partners_reference,
     random_collapse_matching,
     random_equivariant_matching,
     random_free_complex,
@@ -159,6 +163,16 @@ def test_same_shore_only_offense_exists_in_k4(named_complex):
         and next(offense_leads(sc, s, same_shore=False), None) is None
         for s in sc.simplices
     )
+
+
+def test_removal_phases_refuse_a_complex_that_is_not_free():
+    # the scan reads each mirror pair once, which needs a free complex
+    sc = ShortcutComplex(clique(3), 1)
+    f = sc.box.facets[0]
+    sc.box = dataclasses.replace(sc.box, facets=[*sc.box.facets, f | sc.box.mirror(f & -f)])
+    assert not sc.box.free
+    with pytest.raises(ContractError, match="need a free complex"):
+        removal_phases(sc)
 
 
 def test_plain_box_is_the_box_complex_of_omega_in_shared_layout():
@@ -346,13 +360,20 @@ def test_offense_matches_the_oracle_on_every_face(seeded_complexes, named_comple
     assert checked >= 150 and phases == {None, 1, 2, 3}
 
 
-def test_join_tables_match_a_pairwise_recomputation(seeded_complexes):
+def test_offender_rows_match_a_pairwise_recomputation(seeded_complexes):
+    # row q holds the positions p whose tail fails to join tail(q), or
+    # subtail(q); the capped tail's memos read the common neighborhoods
     for sc in seeded_complexes:
         h = sc.box.h
-        for p in range(h):
-            for rows, table in ((sc.tail, sc.join_tail_tail), (sc.subtail, sc.join_tail_subtail)):
-                joined = [q for q in range(h) if is_joined(sc.g, sc.tail[p], rows[q])]
-                assert table[p] == sum(1 << q for q in joined)
+        for q in range(h):
+            for rows, offenders in (
+                (sc.tail, sc.tail_offenders),
+                (sc.subtail, sc.subtail_offenders),
+            ):
+                offending = [p for p in range(h) if not is_joined(sc.g, sc.tail[p], rows[q])]
+                assert offenders[q] == sum(1 << p for p in offending)
+            assert sc.cn_tail[q] == common_neighborhood(sc.g, sc.tail[q])
+            assert sc.cn_subtail[q] == common_neighborhood(sc.g, sc.subtail[q])
 
 
 def test_shortcut_collapses_on_random_graphs(seeded_complexes):
@@ -361,6 +382,90 @@ def test_shortcut_collapses_on_random_graphs(seeded_complexes):
         shortcut_collapses(sc)
         built += 1
     assert built >= 150
+
+
+def test_phase_scan_matches_the_per_face_reference(seeded_complexes, named_complex):
+    # the scan over folded memos gives the domains, pairs and partner ids of
+    # one offense call and one directly taken capped tail per face
+    checked = 0
+    named = [named_complex("K4", 1), named_complex("Petersen", 1)]
+    for sc in [*seeded_complexes, *named]:
+        got, expect = _phase_partners(sc), phase_partners_reference(sc)
+        assert len(got) == len(expect) == 3
+        for (domain, pairs, partner), (domain_ref, pairs_ref, partner_ref) in zip(got, expect):
+            assert domain.table is domain_ref.table and domain.flags == domain_ref.flags
+            assert pairs == pairs_ref and partner == partner_ref
+        checked += 1
+    assert checked >= 150
+
+
+def test_carried_phases_match_collapses_from_scratch(seeded_complexes, named_complex):
+    # each phase, run on the state the last one left, gives the certificate
+    # of a collapse on masks started afresh from that phase's faces
+    checked = 0
+    named = [named_complex("K4", 1), named_complex("Petersen", 1)]
+    for sc in [*seeded_complexes, *named]:
+        _, phases = shortcut_collapses(sc)
+        current = set(sc.simplices)
+        recipes = removal_phases(sc)
+        assert len(phases) == len(recipes) == 3
+        for cert, (matching, domain) in zip(phases, recipes):
+            target = current - domain
+            steps, remaining = collapse_by_masks(sc.box, current, target, matching)
+            assert list(cert.steps) == steps and cert.remaining == remaining == target
+            current = target
+        checked += 1
+    assert checked >= 150
+
+
+def _spoil_phase_2(sc, recipes, kind, rng):
+    """The recipes with phase 2 spoiled: two pairs swap their cofacets
+    (kind 0), one pair is dropped (1), or one pair and its mirror pair are
+    dropped (2).  Returns the spoiled recipes and phase 2's pairs as masks."""
+    table = sc.simplices.table
+    domain, pairs, partner = recipes[1]
+    pairs, partner = list(pairs), array("i", partner)
+    if kind == 0:
+        j, k = rng.sample(range(len(pairs)), 2)
+        (a, b), (c, d) = pairs[j], pairs[k]
+        pairs[j], pairs[k] = (a, d), (c, b)
+        partner[a], partner[d], partner[c], partner[b] = d, a, b, c
+    else:
+        a, b = pairs[rng.randrange(len(pairs))]
+        mirror = table.mirrors(sc.box.h)
+        for dropped in [(a, b), (mirror[a], mirror[b])][:kind]:
+            pairs.remove(dropped)
+            partner[dropped[0]] = partner[dropped[1]] = -1
+    spoiled = [recipes[0], (domain, pairs, partner), recipes[2]]
+    return spoiled, MorseMatching(tuple((table.masks[a], table.masks[b]) for a, b in pairs))
+
+
+def test_a_spoiled_phase_2_fails_as_a_collapse_from_scratch(seeded_complexes, monkeypatch):
+    # on the state phase 1 left, a spoiled phase 2 raises the first error a
+    # collapse of that phase on masks, started afresh, raises
+    rng = random.Random(31337)
+    messages, spoiled_count = set(), 0
+    for sc in seeded_complexes:
+        recipes = _phase_partners(sc)
+        if len(recipes[1][1]) < 2:
+            continue
+        first = set(sc.simplices) - recipes[0][0]
+        target = first - recipes[1][0]
+        spoiled, matching = _spoil_phase_2(sc, recipes, spoiled_count % 3, rng)
+        expect = collapse_by_masks(sc.box, first, target, matching)
+        assert isinstance(expect, str)
+        monkeypatch.setattr(morse, "_phase_partners", lambda sc, spoiled=spoiled: spoiled)
+        with pytest.raises(ContractError) as err:
+            shortcut_collapses(sc)
+        monkeypatch.undo()
+        assert str(err.value).split(";")[0] == expect
+        messages.add(expect)
+        spoiled_count += 1
+    assert spoiled_count >= 30 and messages == {
+        "matching pair is not a face/cofacet pair",
+        "matching is not equivariant",
+        "matching does not cover the simplices outside the subcomplex",
+    }
 
 
 def test_facet_certificate_matches_the_face_level_collapse(seeded_complexes, named_complex):

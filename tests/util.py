@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import os
 import random
+from array import array
 from itertools import combinations, product
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from omegalab.errors import ContractError
 from omegalab.functors import Homomorphism
 from omegalab.graphs import Graph, common_neighborhood, is_joined
 from omegalab.homology import euler_characteristic
-from omegalab.morse import MorseMatching
+from omegalab.morse import MorseMatching, _replacement, _toggle_pairs
 
 
 def cli_env() -> dict[str, str]:
@@ -161,6 +162,42 @@ def offense_oracle(sc, mask: int):
         if (lead := next(leads, None)) is not None:
             return phase, *lead
     return None
+
+
+def phase_partners_reference(sc):
+    """Reference for ``morse._phase_partners``: one ``sc.offense`` call per
+    face and each capped tail taken directly, by ``capped_tail_reference``
+    once per (this shore, other shore's unsaturated positions).  Returns the
+    same recipes: per phase, the domain, its id pairs and the partner ids."""
+    table = sc.simplices.table
+    masks, get = table.masks, table.index.get
+    capped: dict[tuple[int, int], int] = {}
+    replaced: dict[tuple[int, int], int] = {}  # (p, tail) -> position of the replacement
+    phases = [([], array("i", [-1]) * len(masks)) for _ in range(3)]
+    for i in (sc.simplices - sc.plain_box_simplices()).ids():
+        s = masks[i]
+        if (offense := sc.offense(s)) is None:
+            raise ContractError(f"extra simplex {s:#x} matches no phase")
+        phase, p, shore = offense
+        lo, hi = sc.box.split(s)
+        mine, other = (lo, hi) if shore == 0 else (hi, lo)
+        if phase == 3:
+            tail = union_of(sc.subtail, other)  # the other shore's subtails
+        elif (tail := capped.get(key := (mine, other & ~sc.saturated_pos))) is None:
+            tail = capped[key] = capped_tail_reference(sc, *key)
+        if (pos := replaced.get(key := (p, tail))) is None:
+            pos = replaced[key] = _replacement(sc, p, tail)
+        domain, partner = phases[phase - 1]
+        domain.append(i)
+        partner[i] = get(s ^ (1 << sc.box.token(pos, shore)), -1)
+    return [(*_toggle_pairs(table, domain, partner), partner) for domain, partner in phases]
+
+
+def capped_tail_reference(sc, mine: int, unsaturated: int) -> int:
+    """Common neighborhood of the pooled shore sets of phases 1 and 2: the
+    subtails of the positions in ``mine`` and the tails of those in
+    ``unsaturated``, in one loop over their vertices."""
+    return common_neighborhood(sc.g, union_of(sc.subtail, mine) | union_of(sc.tail, unsaturated))
 
 
 def collapse_by_masks(k: Z2Complex, simplices, sub, matching: MorseMatching):
