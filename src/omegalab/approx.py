@@ -1,15 +1,23 @@
-"""Exact-rational realization of the averaging map from the refined box
-complex down to the base box complex, with its carrier simplices and the
-6D/k diameter bound.
+"""Exact realization of the averaging map from the refined box complex down
+to the base box complex, with its carrier simplices and the 6D/k diameter
+bound.
 
-All coordinates are ``fractions.Fraction``; the diameter comparison against
-(6D/k)^2 is a strict inequality in Q, so no float ever enters the check.
+Every coordinate is a sum of weights 1/((k+1) * |component|), so all of
+them are integers over one common denominator, (k+1) times the lcm of the
+component sizes that occur.  A point is stored as its integer numerators
+and a squared distance is an integer over the denominator squared.
+Diameters are returned as ``fractions.Fraction`` values and compared
+against (6D/k)^2 with a strict inequality in Q.  Every value on the way is
+an integer or a ratio of integers, so nothing is ever rounded.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from .bitset import bits, union_of
 from .boxcomplex import Z2Complex, build_box
@@ -17,7 +25,7 @@ from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, Precondition
 from .functors import FunctorResult, omega
 from .graphs import Graph, max_degree
 
-RationalPoint = dict[int, Fraction]  # target token -> coordinate, sums to 1
+IntPoint = dict[int, int]  # target token -> numerator over the map's denominator
 
 
 @dataclass
@@ -30,7 +38,8 @@ class ApproxMap:
     adjoint: FunctorResult
     source: Z2Complex
     target: Z2Complex
-    points: list[RationalPoint]  # indexed by source token
+    denominator: int  # common denominator of every coordinate
+    points: list[IntPoint]  # indexed by source token; numerators sum to denominator
     carriers: list[int]  # target mask per source token
 
     def carrier_of(self, mask: int) -> int:
@@ -57,58 +66,63 @@ def build_approx_map(
     target = build_box(g)
     tpos = {v: i for i, v in enumerate(target.base)}
     ncomp = k + 1  # tuple components 0..k
+    sizes = {comp.bit_count() for v in source.base for comp in adjoint.tuples[v]}
+    denominator = ncomp * lcm(*sizes)
 
-    points: list[RationalPoint] = []
+    points: list[IntPoint] = []
     carriers: list[int] = []
     for token in range(source.token_count):
         vertex, shore = source.token_name(token)
         tup = adjoint.tuples[vertex]
-        point: RationalPoint = {}
+        point: IntPoint = {}
         carrier = 0
         # shore of component i alternates, starting at the token's own shore
         for i, comp in enumerate(tup):
             black = (i % 2 == 1) ^ (shore == "-")
-            size = comp.bit_count()
-            weight = Fraction(1, ncomp * size)
+            weight = denominator // (ncomp * comp.bit_count())
             for v in bits(comp):
                 t = target.token(tpos[v], black)
-                point[t] = point.get(t, Fraction(0)) + weight
+                point[t] = point.get(t, 0) + weight
                 carrier |= 1 << t
-        if sum(point.values()) != 1:
-            raise ContractError("averaging weights do not sum to one")
+        if sum(point.values()) != denominator:
+            raise ContractError("averaging numerators do not sum to the denominator")
         points.append(point)
         carriers.append(carrier)
-    return ApproxMap(g, k, adjoint, source, target, points, carriers)
+    return ApproxMap(g, k, adjoint, source, target, denominator, points, carriers)
 
 
-def distance_sq(a: RationalPoint, b: RationalPoint) -> Fraction:
-    total = Fraction(0)
-    for t in set(a) | set(b):
-        d = a.get(t, Fraction(0)) - b.get(t, Fraction(0))
-        total += d * d
-    return total
+def distance_sq(a: IntPoint, b: IntPoint) -> int:
+    """Squared distance between two image points of one map: the numerator
+    over that map's denominator squared."""
+    return sum((a.get(t, 0) - b.get(t, 0)) ** 2 for t in a.keys() | b.keys())
+
+
+def image_diameters_sq(amap: ApproxMap, masks: Iterable[int]) -> list[Fraction]:
+    """The squared image diameter of each simplex in ``masks``: the largest
+    squared distance between image points of its tokens, since the image is
+    their convex hull.  One pass measures each token pair once."""
+    points, n = amap.points, amap.source.token_count
+    denominator_sq = amap.denominator**2
+    measured: dict[int, int] = {}  # t * n + u -> distance_sq, for t < u
+    out = []
+    for mask in masks:
+        best = 0
+        for t, u in combinations(bits(mask), 2):
+            d = measured.get(t * n + u)
+            if d is None:
+                d = measured[t * n + u] = distance_sq(points[t], points[u])
+            if d > best:
+                best = d
+        out.append(Fraction(best, denominator_sq))
+    return out
 
 
 def simplex_image_diameter_sq(amap: ApproxMap, mask: int) -> Fraction:
-    """Max squared distance between image points of the simplex's tokens;
-    the image is their convex hull, so this is its squared diameter."""
-    tokens = list(bits(mask))
-    best = Fraction(0)
-    for i, t in enumerate(tokens):
-        for u in tokens[i + 1 :]:
-            d = distance_sq(amap.points[t], amap.points[u])
-            if d > best:
-                best = d
-    return best
+    return image_diameters_sq(amap, [mask])[0]
 
 
 def max_facet_diameter_sq(amap: ApproxMap) -> Fraction:
-    best = Fraction(0)
-    for f in amap.source.facets:
-        d = simplex_image_diameter_sq(amap, f)
-        if d > best:
-            best = d
-    return best
+    return max(image_diameters_sq(amap, amap.source.facets), default=Fraction(0))
 
 
 def diameter_bound(g: Graph, k: int) -> Fraction:

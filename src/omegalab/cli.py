@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import click
 
-from .approx import build_approx_map, carrier_check, diameter_bound, simplex_image_diameter_sq
+from .approx import build_approx_map, carrier_check, diameter_bound, image_diameters_sq
 from .bitset import bits
 from .boxcomplex import build_box, format_complex, parse_complex
 from .errors import DEFAULT_BUDGETS, Budgets, OmegalabError, ParseError, ResourceError
@@ -186,7 +186,7 @@ def approx(infile, half, report_path):
     g = _read_graph(infile)
     amap = build_approx_map(g, half)
     bound = diameter_bound(g, half)
-    diameters = [simplex_image_diameter_sq(amap, f) for f in amap.source.facets]
+    diameters = image_diameters_sq(amap, amap.source.facets)
     worst = max(diameters, default=Fraction(0))
     facets = [
         {"facet": list(bits(f)), "diameter_sq": str(d)}

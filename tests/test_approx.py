@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from omegalab.approx import (
     build_approx_map,
@@ -8,13 +10,16 @@ from omegalab.approx import (
     diameter_bound,
     distance_sq,
     equivariant,
+    image_diameters_sq,
     max_facet_diameter_sq,
     simplex_image_diameter_sq,
 )
 from omegalab.bitset import bits
 from omegalab.boxcomplex import build_box
-from omegalab.errors import PreconditionError
+from omegalab.errors import PreconditionError, ResourceError
 from omegalab.graphs import Graph, clique, cycle_graph, path_graph
+
+from util import approx_points_oracle, image_diameter_sq_oracle, small_graph
 
 
 def test_k2_points_have_tiny_support():
@@ -23,7 +28,7 @@ def test_k2_points_have_tiny_support():
     amap = build_approx_map(clique(2), 5)
     for point in amap.points:
         assert len(point) <= 2
-        assert sum(point.values()) == 1
+        assert sum(point.values()) == amap.denominator
 
 
 def test_singleton_head_is_sent_to_itself_at_index_one():
@@ -95,8 +100,8 @@ def test_denominator_growth_bound():
         amap = build_approx_map(g, k)
         limit = math.factorial(k + 1) * g.n
         for point in amap.points:
-            for coeff in point.values():
-                assert coeff.denominator <= limit
+            for numerator in point.values():
+                assert Fraction(numerator, amap.denominator).denominator <= limit
 
 
 def test_diameter_trend_is_nonincreasing_for_c5():
@@ -116,3 +121,24 @@ def test_distance_is_symmetric_metricish():
     a, b = amap.points[0], amap.points[1]
     assert distance_sq(a, b) == distance_sq(b, a)
     assert distance_sq(a, a) == 0
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(small_graph(6, False), st.integers(1, 3))
+@example(clique(2), 5)  # the three members of `verify approx`
+@example(clique(3), 2)
+@example(cycle_graph(5), 4)
+def test_diameters_match_the_fraction_oracle(g, k):
+    # integer numerators over one denominator, each token pair measured once,
+    # against Fraction coordinates summed weight by weight, every pair afresh
+    try:
+        amap = build_approx_map(g, k, vertex_budget=250)
+    except ResourceError:
+        assume(False)
+    points = approx_points_oracle(amap)
+    for point, exact in zip(amap.points, points, strict=True):
+        assert sum(point.values()) == amap.denominator
+        assert {t: Fraction(c, amap.denominator) for t, c in point.items()} == exact
+    want = [image_diameter_sq_oracle(points, f) for f in amap.source.facets]
+    assert image_diameters_sq(amap, amap.source.facets) == want
+    assert max_facet_diameter_sq(amap) == max(want, default=Fraction(0))

@@ -16,7 +16,7 @@ from omegalab.homsearch import (
     parse_witness,
 )
 
-from util import hom_exists_bruteforce, min_deciding_budget, random_graph
+from util import hom_exists_bruteforce, min_deciding_budget, random_graph, small_graph
 
 
 def test_hom_exists_examples():
@@ -71,18 +71,8 @@ def test_solver_matches_bruteforce_on_random_pairs():
 
 
 @st.composite
-def _small_graph(draw, max_n: int, loops: bool) -> Graph:
-    """A graph on up to ``max_n`` vertices, often with isolated vertices, and
-    with loops only if ``loops``."""
-    n = draw(st.integers(0, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u, n) if loops or u != v]
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Graph.from_edges(n, sorted(edges))
-
-
-@st.composite
 def _graph_pair(draw):
-    return draw(_small_graph(6, True)), draw(_small_graph(5, draw(st.booleans())))
+    return draw(small_graph(6, True)), draw(small_graph(5, draw(st.booleans())))
 
 
 @settings(derandomize=True, max_examples=250, deadline=None)

@@ -10,10 +10,12 @@ import heapq
 import os
 import random
 from array import array
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from omegalab.bitset import bits, mask_of, union_of
 from omegalab.boxcomplex import Z2Complex, make_complex
@@ -369,6 +371,56 @@ def is_box_face(g: Graph, k: Z2Complex, mask: int) -> bool:
         and common_neighborhood(g, a) != 0
         and common_neighborhood(g, b) != 0
     )
+
+
+def approx_points_oracle(amap) -> list[dict[int, Fraction]]:
+    """Each source token's image point with ``Fraction`` coordinates, summed
+    one weight 1/((k+1) * |component|) at a time from the adjoint tuples."""
+    tpos = {v: i for i, v in enumerate(amap.target.base)}
+    points = []
+    for token in range(amap.source.token_count):
+        vertex, shore = amap.source.token_name(token)
+        tup = amap.adjoint.tuples[vertex]
+        point: dict[int, Fraction] = {}
+        for i, comp in enumerate(tup):
+            black = (i % 2 == 1) ^ (shore == "-")
+            weight = Fraction(1, (amap.k + 1) * comp.bit_count())
+            for v in bits(comp):
+                t = amap.target.token(tpos[v], black)
+                point[t] = point.get(t, Fraction(0)) + weight
+        points.append(point)
+    return points
+
+
+def distance_sq_oracle(a: dict[int, Fraction], b: dict[int, Fraction]) -> Fraction:
+    total = Fraction(0)
+    for t in set(a) | set(b):
+        d = a.get(t, Fraction(0)) - b.get(t, Fraction(0))
+        total += d * d
+    return total
+
+
+def image_diameter_sq_oracle(points, mask: int) -> Fraction:
+    """Max squared distance between the points of the simplex's tokens,
+    every pair measured afresh."""
+    tokens = list(bits(mask))
+    best = Fraction(0)
+    for i, t in enumerate(tokens):
+        for u in tokens[i + 1 :]:
+            d = distance_sq_oracle(points[t], points[u])
+            if d > best:
+                best = d
+    return best
+
+
+@st.composite
+def small_graph(draw, max_n: int, loops: bool) -> Graph:
+    """A graph on up to ``max_n`` vertices, often with isolated vertices, and
+    with loops only if ``loops``."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u, n) if loops or u != v]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, sorted(edges))
 
 
 def random_graph(rng: random.Random, n: int, edge_p: float, loop_p: float = 0.0) -> Graph:
