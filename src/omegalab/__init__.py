@@ -30,8 +30,9 @@ from .graphs import (
     tensor_product,
 )
 from .functors import (
-    FunctorResult,
+    Adjoint,
     Homomorphism,
+    Subdivision,
     adjoint_witness_from_omega,
     adjoint_witness_to_omega,
     base_projection,
@@ -69,5 +70,4 @@ from .approx import (
     carrier_check,
     diameter_bound,
     max_facet_diameter_sq,
-    simplex_image_diameter_sq,
 )

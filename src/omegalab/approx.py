@@ -22,7 +22,7 @@ from math import lcm
 from .bitset import bits, union_of
 from .boxcomplex import Z2Complex, build_box
 from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, PreconditionError
-from .functors import FunctorResult, omega
+from .functors import Adjoint, omega
 from .graphs import Graph, max_degree
 
 IntPoint = dict[int, int]  # target token -> numerator over the map's denominator
@@ -35,7 +35,7 @@ class ApproxMap:
 
     g: Graph
     k: int
-    adjoint: FunctorResult
+    adjoint: Adjoint
     source: Z2Complex
     target: Z2Complex
     denominator: int  # common denominator of every coordinate
@@ -117,10 +117,6 @@ def image_diameters_sq(amap: ApproxMap, masks: Iterable[int]) -> list[Fraction]:
     return out
 
 
-def simplex_image_diameter_sq(amap: ApproxMap, mask: int) -> Fraction:
-    return image_diameters_sq(amap, [mask])[0]
-
-
 def max_facet_diameter_sq(amap: ApproxMap) -> Fraction:
     return max(image_diameters_sq(amap, amap.source.facets), default=Fraction(0))
 
@@ -129,16 +125,15 @@ def diameter_bound(g: Graph, k: int) -> Fraction:
     return Fraction(6 * max_degree(g), k)
 
 
-def carrier_check(amap: ApproxMap, target: Z2Complex | None = None) -> bool:
+def carrier_check(amap: ApproxMap) -> bool:
     """Every facet's pooled image support must be a simplex of the target.
 
     Because supports contain the head vertex's own token, this also
     witnesses that the straight-line homotopy to the head projection stays
     inside the carrier simplex.
     """
-    tgt = amap.target if target is None else target
     for f in amap.source.facets:
-        if not tgt.membership(amap.carrier_of(f)):
+        if not amap.target.membership(amap.carrier_of(f)):
             return False
     return True
 

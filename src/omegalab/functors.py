@@ -5,6 +5,13 @@ joins vertices connected by a walk of length exactly k, and ``omega`` is
 the right adjoint to ``walk_power``: its vertices are tuples of nested
 neighborhood sets.  All three take the odd index k as their parameter.
 
+A result holds only what defines it.  ``subdivide`` returns a
+``Subdivision``, whose layout is arithmetic: vertices 0..n-1 are the base
+vertices, and the k-1 interior vertices of the e-th edge of
+``base.edges()`` are n + e(k-1) + pos - 1, pos = 1..k-1 counted from the
+edge's lesser end.  ``omega``, ``omega_prime`` and ``shortcut`` return an
+``Adjoint``, whose ``tuples[i]`` is the tuple behind vertex i.
+
 Tuple components are stored as int bitmasks over the base graph.  A tuple
 (A_0, ..., A_l) requires A_0 to be a singleton, every component nonempty,
 and consecutive components fully joined.  Tuples with an empty component
@@ -14,6 +21,7 @@ would be isolated and are not enumerated (see the package decisions log).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bitset import bits, holders, mask_of, union_of
 from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, PreconditionError, ResourceError
@@ -66,27 +74,37 @@ class Homomorphism:
 
 
 @dataclass(frozen=True)
-class FunctorResult:
-    """A constructed graph plus the provenance needed to invert the construction.
-
-    For omega-style results, ``tuples[i]`` is the component tuple behind
-    vertex i and ``tuple_index`` inverts it.  For subdivisions, ``origins[i]``
-    is ("v", v) for an original vertex and ("e", u, v, pos) for the pos-th
-    interior vertex of the path replacing edge (u, v), u <= v.
-    """
+class Subdivision:
+    """The k-subdivision ``graph`` of ``base``, in the module's arithmetic
+    layout, which ``subdivision_path`` reads."""
 
     graph: Graph
-    functor: str
     k: int
     base: Graph
-    tuples: tuple[OmegaTuple, ...] | None = None
-    tuple_index: dict[OmegaTuple, int] | None = None
-    origins: tuple[tuple, ...] | None = None
+
+    @cached_property
+    def edge_ids(self) -> dict[tuple[int, int], int]:
+        """The position of each edge (u, v), u <= v, in ``base.edges()``."""
+        return {e: i for i, e in enumerate(self.base.edges())}
+
+
+@dataclass(frozen=True)
+class Adjoint:
+    """The right adjoint omega(base, k), or its shortcut extension:
+    ``tuples[i]`` is the component tuple behind vertex i of ``graph``, and
+    ``index_of`` inverts it from a dict built on its first call."""
+
+    graph: Graph
+    k: int
+    base: Graph
+    tuples: tuple[OmegaTuple, ...]
+
+    @cached_property
+    def _index(self) -> dict[OmegaTuple, int]:
+        return {t: i for i, t in enumerate(self.tuples)}
 
     def index_of(self, tup: OmegaTuple) -> int:
-        if self.tuple_index is None:
-            raise ContractError(f"{self.functor} result carries no tuple index")
-        return self.tuple_index[tup]
+        return self._index[tup]
 
 
 def _require_odd(k: int, minimum: int = 1) -> None:
@@ -100,7 +118,7 @@ def _require_odd(k: int, minimum: int = 1) -> None:
 
 def subdivide(
     g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget
-) -> FunctorResult:
+) -> Subdivision:
     """Replace every edge by a path of k edges (k odd; k = 1 returns g).
 
     Loops become closed walks of length k through the original vertex.
@@ -109,46 +127,34 @@ def subdivide(
     """
     _require_odd(k)
     if k == 1:
-        origins = tuple(("v", v) for v in range(g.n))
-        return FunctorResult(g, "gamma", 1, g, origins=origins)
+        return Subdivision(g, 1, g)
     edges = g.edges()
     n_new = g.n + len(edges) * (k - 1)
     if n_new > vertex_budget:
         raise ResourceError(
             f"subdivision vertex budget {vertex_budget} exceeded at k={k} ({n_new} vertices)"
         )
-    origins: list[tuple] = [("v", v) for v in range(g.n)]
     labels = [g.label_of(v) for v in range(g.n)]
     path_edges = []
     nxt = g.n
     for u, v in edges:
         chain = [u] + list(range(nxt, nxt + k - 1)) + [v]
         for pos in range(1, k):
-            origins.append(("e", u, v, pos))
             labels.append(f"{u}-{v}/{pos}")
         nxt += k - 1
         path_edges += zip(chain, chain[1:])
     graph = Graph.from_edges(n_new, path_edges, labels)
-    return FunctorResult(graph, "gamma", k, g, origins=tuple(origins))
+    return Subdivision(graph, k, g)
 
 
-def subdivision_path(res: FunctorResult, a: int, b: int) -> list[int]:
+def subdivision_path(res: Subdivision, a: int, b: int) -> list[int]:
     """Vertices of the subdivision path from a to b, counting a as 0th."""
-    if res.functor != "gamma" or res.origins is None:
-        raise ContractError("not a subdivision result")
-    if res.k == 1:
-        return [a, b]
-    u, v = (a, b) if a <= b else (b, a)
-    interior = [
-        i
-        for i, o in enumerate(res.origins)
-        if o[0] == "e" and o[1] == u and o[2] == v
-    ]
-    if len(interior) != res.k - 1:
+    e = res.edge_ids.get((a, b) if a <= b else (b, a))
+    if e is None:
         raise ContractError(f"({a}, {b}) is not an edge of the base graph")
-    if a > b:
-        interior.reverse()
-    return [a] + interior + [b]
+    start = res.base.n + e * (res.k - 1)
+    interior = range(start, start + res.k - 1)
+    return [a, *(interior if a <= b else reversed(interior)), b]
 
 
 # -- walk power ----------------------------------------------------------------
@@ -171,7 +177,7 @@ def walk_power(g: Graph, k: int) -> Graph:
 
 # -- right adjoint -------------------------------------------------------------
 
-def omega(g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget) -> FunctorResult:
+def omega(g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget) -> Adjoint:
     """Right adjoint to the k-th walk power (k odd; k = 1 returns g).
 
     Vertices are tuples (A_0, ..., A_l), l = (k-1)/2, with A_0 a singleton
@@ -183,9 +189,7 @@ def omega(g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget) 
     """
     _require_odd(k)
     if k == 1:
-        tuples = tuple((1 << v,) for v in range(g.n))
-        index = {t: i for i, t in enumerate(tuples)}
-        return FunctorResult(g, "omega", 1, g, tuples=tuples, tuple_index=index)
+        return Adjoint(g, 1, g, tuple((1 << v,) for v in range(g.n)))
     depth = (k - 1) // 2
     cap = vertex_budget * 4 // max(depth + 1, 4)  # a long tuple is several vertices
     over = f"omega vertex budget {vertex_budget} exceeded at k={k}"
@@ -211,10 +215,9 @@ def omega(g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget) 
             if prefix:
                 prefix[-1] = (prefix[-1] - pools[-1]) & pools[-1]
 
-    index = {t: i for i, t in enumerate(tuples)}
     labels = tuple(omega_label(t) for t in tuples)
     graph = Graph(len(tuples), _omega_rows(g, tuples, depth), labels)
-    return FunctorResult(graph, "omega", k, g, tuples=tuple(tuples), tuple_index=index)
+    return Adjoint(graph, k, g, tuple(tuples))
 
 
 def _omega_rows(g: Graph, tuples: list[OmegaTuple], depth: int) -> tuple[int, ...]:
@@ -275,18 +278,14 @@ def omega_label(tup: OmegaTuple) -> str:
     return str(head) + "|".join(groups)
 
 
-def base_projection(res: FunctorResult) -> Homomorphism:
+def base_projection(res: Adjoint) -> Homomorphism:
     """The homomorphism onto the base graph sending a tuple to its head vertex."""
-    if res.tuples is None:
-        raise ContractError("projection needs an omega-style result")
     mapping = tuple(next(bits(t[0])) for t in res.tuples)
     return Homomorphism(res.graph, res.base, mapping)
 
 
-def truncate_projection(res: FunctorResult, lower: FunctorResult) -> Homomorphism:
+def truncate_projection(res: Adjoint, lower: Adjoint) -> Homomorphism:
     """Drop the last tuple component: a verified step from index k to k-2."""
-    if res.tuples is None or lower.tuple_index is None:
-        raise ContractError("truncation needs omega-style results")
     mapping = tuple(lower.index_of(t[:-1]) for t in res.tuples)
     return Homomorphism(res.graph, lower.graph, mapping)
 
@@ -305,14 +304,14 @@ def saturate_tail(g: Graph, tup: OmegaTuple) -> OmegaTuple:
 
 def omega_prime(
     g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget
-) -> FunctorResult:
+) -> Adjoint:
     """Shortcut extension of omega(g, k), k odd >= 3."""
     _require_odd(k, minimum=3)
     base = omega(g, k, vertex_budget)
     return shortcut(base, saturation_indices(g, base))
 
 
-def shortcut(base: FunctorResult, sat: list[int]) -> FunctorResult:
+def shortcut(base: Adjoint, sat: list[int]) -> Adjoint:
     """Shortcut extension of an omega result of index >= 3, given its
     ``saturation_indices``: same vertices, and for every edge {a, b} also
     edges from a and b to the saturated partners."""
@@ -326,12 +325,10 @@ def shortcut(base: FunctorResult, sat: list[int]) -> FunctorResult:
                 rows[x] |= 1 << y
                 rows[y] |= 1 << x
     graph = Graph(base.graph.n, tuple(rows), base.graph.labels)
-    return FunctorResult(
-        graph, "omega-prime", base.k, base.base, tuples=base.tuples, tuple_index=base.tuple_index
-    )
+    return Adjoint(graph, base.k, base.base, base.tuples)
 
 
-def saturation_indices(g: Graph, res: FunctorResult) -> list[int]:
+def saturation_indices(g: Graph, res: Adjoint) -> list[int]:
     """Index of the saturated partner of every tuple vertex."""
     return [res.index_of(saturate_tail(g, t)) for t in res.tuples]
 
@@ -339,7 +336,7 @@ def saturation_indices(g: Graph, res: FunctorResult) -> list[int]:
 # -- adjunction witnesses ------------------------------------------------------
 
 def adjoint_witness_to_omega(
-    g: Graph, f: Homomorphism, omega_h: FunctorResult
+    g: Graph, f: Homomorphism, omega_h: Adjoint
 ) -> Homomorphism:
     """Turn f : walk_power(g, k) -> H into a witness g -> omega(H, k).
 
@@ -365,7 +362,7 @@ def adjoint_witness_to_omega(
 
 
 def adjoint_witness_from_omega(
-    f: Homomorphism, omega_h: FunctorResult
+    f: Homomorphism, omega_h: Adjoint
 ) -> Homomorphism:
     """Turn f : G -> omega(H, k) into a witness walk_power(G, k) -> H."""
     if f.target.adj != omega_h.graph.adj:
@@ -380,8 +377,8 @@ def adjoint_witness_from_omega(
 def subdivision_embedding(
     g: Graph,
     k: int,
-    gamma: FunctorResult | None = None,
-    omega_res: FunctorResult | None = None,
+    gamma: Subdivision | None = None,
+    omega_res: Adjoint | None = None,
 ) -> Homomorphism:
     """The per-edge path embedding of the k-subdivision into omega(g, k).
 
@@ -416,22 +413,20 @@ def subdivision_embedding(
         # isolated vertices are unconstrained; position-0 rows ignore b
         if g.adj[v]:
             mapping[v] = omega_res.index_of(row_tuple(v, next(bits(g.adj[v])), 0))
-    for idx, origin in enumerate(gamma.origins):
-        if origin[0] != "e":
-            continue
-        _, u, v, pos = origin
-        if pos <= depth:
-            mapping[idx] = omega_res.index_of(row_tuple(u, v, pos))
-        else:
-            mapping[idx] = omega_res.index_of(row_tuple(v, u, k - pos))
+    for u, v in g.edges():
+        for pos, idx in enumerate(subdivision_path(gamma, u, v)[1:-1], 1):
+            if pos <= depth:
+                mapping[idx] = omega_res.index_of(row_tuple(u, v, pos))
+            else:
+                mapping[idx] = omega_res.index_of(row_tuple(v, u, k - pos))
     return Homomorphism(gamma.graph, omega_res.graph, tuple(mapping))
 
 
 def squarefree_retraction(
     g: Graph,
     k: int,
-    gamma: FunctorResult | None = None,
-    omega_res: FunctorResult | None = None,
+    gamma: Subdivision | None = None,
+    omega_res: Adjoint | None = None,
 ) -> Homomorphism:
     """Retraction omega(g, k) -> subdivide(g, k) for square-free loopless g.
 

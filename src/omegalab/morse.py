@@ -56,7 +56,7 @@ from operator import and_, not_, or_
 from .bitset import Folded, bits, holders, mask_of, union_of
 from .boxcomplex import Faces, FaceTable, Z2Complex, build_box
 from .errors import DEFAULT_BUDGETS, Budgets, ContractError, ParameterError
-from .functors import FunctorResult, omega, saturation_indices, shortcut
+from .functors import Adjoint, omega, saturation_indices, shortcut
 from .graphs import Graph, common_neighborhood
 from .homology import betti_mod2
 
@@ -160,30 +160,20 @@ def collapse(
     if not complex_.free:
         raise ContractError("equivariant collapses need a free complex")
     simplices = Faces.of(simplices)
-    table = simplices.table
-    get, n = table.index.get, len(table.masks)
-    # a mask outside the table gets an id past its end; its pair fails the
-    # unknown-simplex check
-    strays: dict[int, int] = {}
-    partner = array("i", [-1]) * n
-
-    def stray(mask: int) -> int:
-        if (i := strays.get(mask)) is None:
-            i = strays[mask] = n + len(strays)
-            partner.append(-1)
-        return i
-
-    pairs = []
-    for a, b in matching.pairs:
-        ia = get(a)
-        ia = stray(a) if ia is None else ia
-        ib = get(b)
-        ib = stray(b) if ib is None else ib
+    masks = [m for pair in matching.pairs for m in pair]
+    ids = list(map(simplices.table.index.get, masks))
+    if None in ids:
+        # a mask outside the table: draw the simplices from a wider table that
+        # holds it too, where its pair fails the unknown-simplex check
+        simplices = FaceTable({*simplices.table.masks, *masks}).faces(simplices)
+        ids = list(map(simplices.table.index.__getitem__, masks))
+    partner = array("i", [-1]) * len(simplices.flags)
+    pairs = list(zip(ids[::2], ids[1::2]))
+    for ia, ib in pairs:
         if partner[ia] >= 0 or partner[ib] >= 0:
             raise ContractError("a simplex appears in two matching pairs")
         partner[ia], partner[ib] = ib, ia
-        pairs.append((ia, ib))
-    return _CollapseState(complex_, simplices).run(sub, partner, pairs, strays)
+    return _CollapseState(complex_, simplices).run(sub, partner, pairs)
 
 
 class _CollapseState:
@@ -196,7 +186,7 @@ class _CollapseState:
     def __init__(self, complex_: Z2Complex, simplices: Faces):
         table = simplices.table
         n = len(table.masks)
-        self.complex_, self.current = complex_, simplices
+        self.current = simplices
         self.mirror = table.mirrors(complex_.h)
         self.offsets, self.ids = offsets, ids = table.boundary()
         self.alive = bytearray(simplices.flags)
@@ -208,22 +198,17 @@ class _CollapseState:
                 counts[f] -= 1
 
     def run(
-        self,
-        sub: AbstractSet[int],
-        partner: array,
-        pairs: list[tuple[int, int]],
-        strays: dict[int, int],
+        self, sub: AbstractSet[int], partner: array, pairs: list[tuple[int, int]]
     ) -> CollapseCertificate:
         """``collapse`` from the current faces onto ``sub``, on ids: the
         ``pairs`` (face, cofacet) are checked in order, then the cover, then
         the heap loop runs.  ``partner`` maps every matched id to its partner
-        and holds -1 elsewhere; ids past the table are ``strays``, by mask."""
-        complex_, simplices = self.complex_, self.current
+        and holds -1 elsewhere."""
+        simplices = self.current
         table = simplices.table
         matched = len(partner) - partner.count(-1)
         n = len(table.masks)
-        masks = table.masks + list(strays) if strays else table.masks
-        mirror = self.mirror
+        masks, mirror = table.masks, self.mirror
         inside = simplices.drawn(sub)
         known, protected = simplices.flags, inside.flags
         lower = bytearray(n)
@@ -231,14 +216,12 @@ class _CollapseState:
             a, b = masks[ia], masks[ib]
             if a.bit_count() + 1 != b.bit_count() or a & ~b:
                 raise ContractError("matching pair is not a face/cofacet pair")
-            if ia >= n or ib >= n or not (known[ia] and known[ib]):
+            if not (known[ia] and known[ib]):
                 raise ContractError("matching pair uses unknown simplices")
             if protected[ia] or protected[ib]:
                 raise ContractError("matching touches the protected subcomplex")
-            # a mirror outside the table can only be a stray
-            ma = mirror[ia] if mirror[ia] >= 0 else strays.get(complex_.mirror(a), -1)
-            mb = mirror[ib] if mirror[ib] >= 0 else strays.get(complex_.mirror(b), -1)
-            if ma < 0 or partner[ma] < 0 or partner[ma] != mb:
+            ma = mirror[ia]
+            if ma < 0 or partner[ma] < 0 or partner[ma] != mirror[ib]:
                 raise ContractError("matching is not equivariant")
             lower[ia] = 1
         # every pair member lies in simplices - sub, so the sizes decide the cover
@@ -291,7 +274,7 @@ class ShortcutComplex:
         if g.has_loops():
             raise ParameterError("shortcut collapses need a loopless base graph")
         self.g = g
-        self.omega: FunctorResult = omega(g, 2 * k + 1, budgets.vertex_budget)
+        self.omega: Adjoint = omega(g, 2 * k + 1, budgets.vertex_budget)
         sat = saturation_indices(g, self.omega)
         self.box: Z2Complex = build_box(shortcut(self.omega, sat).graph)
         self.simplices: Faces = self.box.simplices(budgets.simplex_budget)
@@ -331,20 +314,11 @@ class ShortcutComplex:
         shortcut complex on a face table of their own."""
         return self._plain_simplices
 
-    def offense(self, mask: int) -> tuple[int, int, int] | None:
-        """Why a simplex lies outside the unmodified box complex, as
-        ``(phase, lead, shore)``, or None when it lies inside; read from an
-        ``offense_scan`` kept for these calls.  The removal phases run a scan
-        of their own, so no memo outlives them."""
-        return self._offense(*self.box.split(mask))
-
-    @cached_property
-    def _offense(self):
-        return self.offense_scan()
-
     def offense_scan(self):
-        """The offense of a simplex from its two shores ``(lo, hi)``, read
-        from folded memos that belong to the returned function.
+        """The offense of a simplex from its two shores ``(lo, hi)``: why it
+        lies outside the unmodified box complex, as ``(phase, lead, shore)``,
+        or None when it lies inside; read from folded memos that belong to
+        the returned function.
 
         A lead p offends on its own shore when its tail fails to join some
         subtail there, and across when it fails to join some tail on the
@@ -559,7 +533,7 @@ class SaturationCollapse:
     def steps(self) -> tuple[tuple[int, int], ...]:
         _, pairs, partner = _saturation_partners(self.sc)
         state = _CollapseState(self.sc.box, self.sc.simplices)
-        return state.run(self.remaining, partner, pairs, {}).steps
+        return state.run(self.remaining, partner, pairs).steps
 
 
 def shortcut_collapses(sc: ShortcutComplex):
@@ -575,7 +549,7 @@ def shortcut_collapses(sc: ShortcutComplex):
     recipes = _phase_partners(sc)
     state = _CollapseState(sc.box, sc.simplices)
     phases = [
-        state.run(state.current - domain, partner, pairs, {}) for domain, pairs, partner in recipes
+        state.run(state.current - domain, partner, pairs) for domain, pairs, partner in recipes
     ]
     if state.current != sc.plain_box_simplices():
         raise ContractError("three-phase collapse missed the unmodified box complex")

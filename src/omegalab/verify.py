@@ -46,16 +46,6 @@ from .homology import betti_of_complex, convolve
 from .homsearch import chromatic_number, hom_equivalent, hom_exists
 from .morse import pipeline
 
-SUITES = (
-    "adjointness",
-    "betti",
-    "chromatic",
-    "squarefree",
-    "morse",
-    "kunneth",
-    "approx",
-)
-
 SCHEMA_VERSION = 1
 
 
@@ -326,6 +316,7 @@ _SUITE_FNS = {
     "kunneth": _suite_kunneth,
     "approx": _suite_approx,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(suite: str, budgets: Budgets = DEFAULT_BUDGETS) -> dict:

@@ -52,6 +52,67 @@ def test_functor_roundtrip(tmp_path, graph_files, capsys):
     assert "0{1 2 3}" in g.labels  # tuple label grammar
 
 
+# SHA-256 of the `functor` output file per (input, kind, -k); None where the
+# command refuses the index (omega-prime needs k >= 3) and writes nothing.
+# The looped input has a loop at 0 and a pendant vertex 3; the labelled one
+# is C4 with named vertices
+FUNCTOR_OUTPUT_SHA256 = {
+    ("k4", "gamma", 1): "bb49055470d9af98c2652281126b3268cfe78959fedab6df25ddf7f548af610d",
+    ("k4", "gamma", 3): "8cce8592458d32c2a8c39178c2523e9c17441ea25463ab79ba354d429a151fb9",
+    ("k4", "gamma", 5): "999982d8082224043fd72b9e19e6a8f84983374de150d6cd04daacf465b2aec0",
+    ("k4", "omega", 1): "bb49055470d9af98c2652281126b3268cfe78959fedab6df25ddf7f548af610d",
+    ("k4", "omega", 3): "946f756d7ae84cb68d14ff2c0c6c3ae781314c6c380c82b8d8bf0dfcdd38c353",
+    ("k4", "omega", 5): "3dcce7c667887e23665161e0f9ac328758f285f71f7312b4a19072d39918c0d1",
+    ("k4", "omega-prime", 1): None,
+    ("k4", "omega-prime", 3): "0c442c255627c2dd2b289f0f7ad9b8a765825f18354fa82925aae78f0e6405a6",
+    ("k4", "omega-prime", 5): "23bcc5538b3fce9cc7991992adee4e32ccc71a211942f3a92c43fbcd328536d3",
+    ("pet", "gamma", 1): "f98db7fb9306f14dd7cae6b609a5ce08d3614a029b033032d8de4cdcda01483f",
+    ("pet", "gamma", 3): "99bf9602aa120188f553c83ba2f01843904773a76414aae2bc8339f237909ba5",
+    ("pet", "gamma", 5): "6faa643da067f400c63512a67919e176c4efdea16802d3e16bacb9ffbac074cb",
+    ("pet", "omega", 1): "f98db7fb9306f14dd7cae6b609a5ce08d3614a029b033032d8de4cdcda01483f",
+    ("pet", "omega", 3): "5353e4061da308370d01117618b151a1f1976bffb791d7e5c01150ebf480f898",
+    ("pet", "omega", 5): "89041bf80b1528ae72ff9c98708ecf7bf2c0f02527f68d37ac55a38a6a46c3a8",
+    ("pet", "omega-prime", 1): None,
+    ("pet", "omega-prime", 3): "9d9095f46288fd27d2a29d93f33251431e596a3b2f5bbf1c21fa07cc257abdda",
+    ("pet", "omega-prime", 5): "87ff9fa67309b005d7c4a7a93328e25d2dc121222fba10de2a711b44e264da99",
+    ("labelled", "gamma", 1): "1ea8b352c7563b4d8a47f8786268c56113115e151e7168052af6d536d6910a34",
+    ("labelled", "gamma", 3): "57fafe7c99153d126f3095bf05c099b9f087064684136fc34a62d48fed41a293",
+    ("labelled", "gamma", 5): "ffe43115b32b543a101e832cfd4273e647abac49709f21db0b9da1f5961799c3",
+    ("labelled", "omega", 1): "1ea8b352c7563b4d8a47f8786268c56113115e151e7168052af6d536d6910a34",
+    ("labelled", "omega", 3): "d120a24a40ce1c352948c52cd9a92495a56c11702e33b52825d2f4381231c626",
+    ("labelled", "omega", 5): "6be3eeea32ee5ef61fdae030c92666f214192e1603d509196f2c784f38855161",
+    ("labelled", "omega-prime", 1): None,
+    ("labelled", "omega-prime", 3): "d120a24a40ce1c352948c52cd9a92495a56c11702e33b52825d2f4381231c626",
+    ("labelled", "omega-prime", 5): "6be3eeea32ee5ef61fdae030c92666f214192e1603d509196f2c784f38855161",
+    ("looped", "gamma", 1): "df655b02f9561e02180f2b4e47fb21969000db9b18134275d542e1983589bfbd",
+    ("looped", "gamma", 3): "782fc6cf529bcd41ac92cc6284bb998d086709a9cadc5fd624edc6d8d014f89c",
+    ("looped", "gamma", 5): "60843d0e63383a93f79af4f600faafbf3a088e269c8a6e596bba38b92c897660",
+    ("looped", "omega", 1): "df655b02f9561e02180f2b4e47fb21969000db9b18134275d542e1983589bfbd",
+    ("looped", "omega", 3): "b08989466379440963fb3f0c8a4cc6e6290afe9afbec7a87bfcd6c0d9e270235",
+    ("looped", "omega", 5): "b823168ab41ca5cea196abc3aba1992f1c940570f3d9ae2d846b7c2faa05e571",
+    ("looped", "omega-prime", 1): None,
+    ("looped", "omega-prime", 3): "289a912b69d52b48588aac0f8ced88a40f4a66c4cb2f8079652c2b53326aa3e0",
+    ("looped", "omega-prime", 5): "104a633dea5787f70ae3ac6e272ddeeffd95373b0f0676866c63d705e6b27b3f",
+}
+LOOPED_GRAPH = "p 4 5\ne 0 0\ne 0 1\ne 1 2\ne 0 2\ne 2 3\n"
+LABELLED_GRAPH = "p 4 4\ne 0 1\ne 1 2\ne 2 3\ne 3 0\nl 0 a\nl 1 b\nl 2 c\nl 3 d\n"
+
+
+def test_functor_outputs_are_pinned(tmp_path, graph_files, capsys):
+    inputs = {"k4": graph_files["k4"], "pet": graph_files["pet"]}
+    for name, text in (("labelled", LABELLED_GRAPH), ("looped", LOOPED_GRAPH)):
+        inputs[name] = tmp_path / f"{name}.graph"
+        inputs[name].write_text(text)
+    for (name, kind, k), digest in FUNCTOR_OUTPUT_SHA256.items():
+        out = tmp_path / f"{name}-{kind}-{k}.graph"
+        code, _ = run_cli(["functor", kind, "-k", str(k), "-i", str(inputs[name]), "-o", str(out)], capsys)
+        if digest is None:
+            assert code == 1 and not out.exists(), (name, kind, k)
+        else:
+            assert code == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, kind, k)
+
+
 def test_convert_graph_byte_exact(tmp_path, graph_files, capsys):
     out1 = tmp_path / "a.graph"
     out2 = tmp_path / "b.graph"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 import tracemalloc
@@ -17,6 +18,7 @@ from omegalab.functors import (
     omega_prime,
     saturate_tail,
     saturation_indices,
+    shortcut,
     subdivide,
     subdivision_embedding,
     subdivision_path,
@@ -108,6 +110,69 @@ def test_subdivision_path_orientation():
     assert fwd == back[::-1] and len(fwd) == 4
 
 
+# a triangle with a loop at 0 and a pendant vertex 3
+LOOPED = Graph.from_edges(4, [(0, 0), (0, 1), (1, 2), (2, 0), (2, 3)])
+
+
+def test_subdivision_path_walks_every_edge_both_ways():
+    for g in (petersen(), LOOPED):
+        for k in (3, 5):
+            gamma = subdivide(g, k)
+            interior = []
+            for u, v in g.edges():
+                fwd, back = subdivision_path(gamma, u, v), subdivision_path(gamma, v, u)
+                assert len(fwd) == k + 1 and fwd[0] == u and fwd[-1] == v
+                assert all(gamma.graph.has_edge(x, y) for x, y in zip(fwd, fwd[1:]))
+                if u != v:
+                    assert back == fwd[::-1]
+                interior += fwd[1:-1]
+            # the paths' interiors are the new vertices, each once
+            assert sorted(interior) == list(range(g.n, gamma.graph.n))
+            u, v = next((u, v) for u in range(g.n) for v in range(g.n) if not g.has_edge(u, v))
+            with pytest.raises(ContractError):
+                subdivision_path(gamma, u, v)
+
+
+# SHA-256 of the mapping, as comma-separated images, per (graph, k)
+MAPPING_SHA256 = {
+    ("C5", 3): (
+        "8124f5a92c3d20964dee1cf8237db8eee5aa9fe4ac78a138df7e0c9dfafa3611",
+        "1a73d272f469f33df659a8fe47f554e49407f12fb56114d9ada4a4ccb375a008",
+    ),
+    ("C5", 5): (
+        "6c5696beaff3c1905151d9293287e112f0683ca3fc9d41b3548e3fb4858716ba",
+        "155e67bb667496e9c4156e891c4c0e774b6a23ae834ecdb6165f032b36a7c03e",
+    ),
+    ("C7", 3): (
+        "0eb2f0216445914dc54647bd56fedb07b69987597e4f5a2199849967c66b4090",
+        "fd047f1897f8deab3b8184a10b83202f6022cc4f016ed9fa8301626e7adb53e7",
+    ),
+    ("C7", 5): (
+        "e9d00626c8c698f1f67ddf9c0ed4bdfd739a4d584d45ca2c01e0abd8230b8675",
+        "cbdd81f31582643e66233e4564dea2f3a36f8c71c471e7a5415db54ed8806747",
+    ),
+    ("Petersen", 3): (
+        "bc40bdd00204b8eb31dcc49ed109f621859ebd803427ea392034fbc118d98f6d",
+        "9b78db758414488b8e28ee96d42b5019b646ebd1f42e25ac3d272950c86ecb6d",
+    ),
+    ("Petersen", 5): (
+        "1885d655d383fecf7f02bcd82362efb5ba12fa75cafca9acf8f96949af091cb0",
+        "ea1cfc92b3641d6ee6f48ba7dddc876ce79f8ed66c42b92916ea7fb2b27efc42",
+    ),
+}
+
+
+def test_embedding_and_retraction_mappings_are_pinned():
+    graphs = {"C5": cycle_graph(5), "C7": cycle_graph(7), "Petersen": petersen()}
+    for (name, k), digests in MAPPING_SHA256.items():
+        g = graphs[name]
+        for build, digest in zip((subdivision_embedding, squarefree_retraction), digests):
+            mapping = build(g, k).mapping
+            assert hashlib.sha256(",".join(map(str, mapping)).encode()).hexdigest() == digest, (
+                name, k, build.__name__,
+            )
+
+
 def test_power_examples():
     c5 = cycle_graph(5)
     assert same_adjacency(walk_power(c5, 1), c5)
@@ -127,6 +192,16 @@ def test_omega_counts_against_bruteforce():
     for g, k in [(clique(4), 3), (clique(3), 5), (cycle_graph(5), 3), (path_graph(4), 3)]:
         assert omega(g, k).graph.n == count_omega_vertices_bruteforce(g, k)
     assert omega(clique(4), 3).graph.n == 28
+
+
+def test_index_of_inverts_the_tuples():
+    for g, k in [(clique(4), 3), (cycle_graph(5), 5), (petersen(), 3), (LOOPED, 5), (clique(3), 1)]:
+        o = omega(g, k)
+        results = [o] if k == 1 else [o, shortcut(o, saturation_indices(g, o))]
+        for res in results:
+            assert [res.index_of(t) for t in res.tuples] == list(range(res.graph.n))
+    with pytest.raises(KeyError):
+        omega(clique(4), 3).index_of((1, 1))  # ({0}, {0}) is not joined in K4
 
 
 def test_omega_identity_and_small_cases():

@@ -33,6 +33,7 @@ from util import (
     acyclic_oracle,
     collapse_by_masks,
     is_box_face,
+    offense,
     offense_leads,
     offense_oracle,
     phase_partners_reference,
@@ -141,9 +142,9 @@ def test_classifier_matches_membership_bruteforce(named_complex):
         sc = named_complex(name, 1)
         plain = sc.plain_box_simplices()
         for s in sc.simplices:
-            offense = sc.offense(s)
-            assert offense == offense_oracle(sc, s)
-            assert (offense is not None) == (s not in plain)
+            found = offense(sc, s)
+            assert found == offense_oracle(sc, s)
+            assert (found is not None) == (s not in plain)
 
 
 def test_plain_box_faces_are_built_once(named_complex):
@@ -158,7 +159,7 @@ def test_same_shore_only_offense_exists_in_k4(named_complex):
     plain = sc.plain_box_simplices()
     assert any(
         s not in plain
-        and sc.offense(s)[0] in (1, 2)
+        and offense(sc, s)[0] in (1, 2)
         and offense_oracle(sc, s)[0] in (1, 2)
         and next(offense_leads(sc, s, same_shore=False), None) is None
         for s in sc.simplices
@@ -352,7 +353,7 @@ def test_offense_matches_the_oracle_on_every_face(seeded_complexes, named_comple
     named = [named_complex("K4", 1), named_complex("Petersen", 1)]
     for sc in [*seeded_complexes, *named]:
         faces = list(sc.simplices)
-        offenses = [sc.offense(s) for s in faces]
+        offenses = [offense(sc, s) for s in faces]
         assert offenses == [offense_oracle(sc, s) for s in faces]
         assert {s for s, o in zip(faces, offenses) if o is None} == sc.plain_box_simplices()
         phases.update(o and o[0] for o in offenses)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import os
 import random
+import weakref
 from array import array
 from fractions import Fraction
 from itertools import combinations, product
@@ -149,11 +150,23 @@ def offense_leads(sc, mask: int, same_shore: bool):
             yield p, shore
 
 
+_offense_scans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def offense(sc, mask: int) -> tuple[int, int, int] | None:
+    """``sc.offense_scan()`` read for one simplex: ``(phase, lead, shore)``,
+    or None inside the unmodified box complex.  One scan is kept per
+    complex, for as long as the complex lives."""
+    if (scan := _offense_scans.get(sc)) is None:
+        scan = _offense_scans[sc] = sc.offense_scan()
+    return scan(*sc.box.split(mask))
+
+
 def offense_oracle(sc, mask: int):
-    """``ShortcutComplex.offense`` from the definition of the phases: phase
-    1 if some same-shore lead is unsaturated (the least such), else phase 2
-    if there is a same-shore lead (the least), else phase 3 if there is a
-    cross-shore lead (the least), else None."""
+    """``offense`` from the definition of the phases: phase 1 if some
+    same-shore lead is unsaturated (the least such), else phase 2 if there
+    is a same-shore lead (the least), else phase 3 if there is a cross-shore
+    lead (the least), else None."""
     same_shore = offense_leads(sc, mask, True)
     unsaturated = (lead for lead in same_shore if not sc.saturated_pos >> lead[0] & 1)
     for phase, leads in (
@@ -167,7 +180,7 @@ def offense_oracle(sc, mask: int):
 
 
 def phase_partners_reference(sc):
-    """Reference for ``morse._phase_partners``: one ``sc.offense`` call per
+    """Reference for ``morse._phase_partners``: one ``offense`` call per
     face and each capped tail taken directly, by ``capped_tail_reference``
     once per (this shore, other shore's unsaturated positions).  Returns the
     same recipes: per phase, the domain, its id pairs and the partner ids."""
@@ -178,9 +191,9 @@ def phase_partners_reference(sc):
     phases = [([], array("i", [-1]) * len(masks)) for _ in range(3)]
     for i in (sc.simplices - sc.plain_box_simplices()).ids():
         s = masks[i]
-        if (offense := sc.offense(s)) is None:
+        if (found := offense(sc, s)) is None:
             raise ContractError(f"extra simplex {s:#x} matches no phase")
-        phase, p, shore = offense
+        phase, p, shore = found
         lo, hi = sc.box.split(s)
         mine, other = (lo, hi) if shore == 0 else (hi, lo)
         if phase == 3:
