@@ -43,7 +43,12 @@ class FaceTable:
         self._mirrors: tuple[int, array] | None = None
 
     def boundary(self) -> tuple[array, array]:
-        """``(offsets, ids)`` of every face's codimension-1 faces, built once."""
+        """``(offsets, ids)`` of every face's codimension-1 faces, built once.
+
+        A row drops its face's tokens lowest first, so its ids descend: the
+        first is the face without the lowest token, the greatest id in the
+        row whenever that face is in the table.  ``betti_mod2`` reads a
+        column's pivot there."""
         if self._boundary is None:
             get = self.index.get
             offsets = array("i", [0])

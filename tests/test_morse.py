@@ -4,6 +4,7 @@ import gc
 import hashlib
 import random
 import time
+import tracemalloc
 import weakref
 from array import array
 
@@ -619,6 +620,21 @@ GRAPHS = {
     "G7": G7,
     "Petersen": petersen(),
 }
+
+
+def test_betti_of_the_petersen_table_builds_few_columns(named_complex):
+    # a column is built only when its pivot is taken: 102 XORs among 83,130
+    # pivots here, about 4 MB of traced peak against 28 MB for eager columns
+    sc = named_complex("Petersen", 1)
+    sc.simplices.table.boundary()
+    tracemalloc.start()
+    try:
+        betti = betti_mod2(sc.simplices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert betti == (1, 11)
+    assert peak < 10_000_000
 
 
 @pytest.mark.parametrize("name,k", list(PIPELINE_REPORTS), ids=lambda x: str(x))

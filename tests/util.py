@@ -1,7 +1,9 @@
 """Shared test helpers: independent oracles and random-object generators.
 
 The homology oracle here is a dense numpy row-reduction, deliberately a
-different algorithm and data layout than the package's bitset elimination.
+different algorithm and data layout than the package's bitset elimination;
+``betti_mod2_reference`` is the package's earlier eager elimination, kept to
+count the column XORs that the lazy one must reproduce.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from omegalab.bitset import bits, mask_of, union_of
-from omegalab.boxcomplex import Z2Complex, make_complex
+from omegalab.boxcomplex import Faces, Z2Complex, make_complex
 from omegalab.errors import ContractError
 from omegalab.functors import Homomorphism
 from omegalab.graphs import Graph, common_neighborhood, is_joined
@@ -53,6 +55,64 @@ def betti_oracle(simplices) -> tuple[int, ...]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def betti_mod2_reference(simplices) -> tuple[tuple[int, ...], list[tuple[int, bool]]]:
+    """The eager eliminator ``betti_mod2`` used before it built columns only
+    on a taken pivot: every column not cleared is built, as an int over rows
+    counted down from its level's last face and shifted down to its lowest
+    row, and reduced with clearing in the same order.  Returns the Betti
+    vector and, for each column that met a taken pivot, the number of
+    columns XORed into it and whether it reduced to zero.  The input must be
+    closed and free of the empty mask."""
+    faces = Faces.of(simplices)
+    if not faces:
+        return (), []
+    table = faces.table
+    masks = table.masks
+    offsets, ids = table.boundary()
+    levels: list[array] = []
+    for i in faces.ids():
+        d = masks[i].bit_count() - 1
+        while len(levels) <= d:
+            levels.append(array("i"))
+        levels[d].append(i)
+    row = array("i", [-1]) * len(masks)  # rows count down from a level's last face
+    for level in levels:
+        for r, i in enumerate(reversed(level)):
+            row[i] = r
+    ranks = [0] * (len(levels) + 1)
+    merged: list[tuple[int, bool]] = []
+    cleared: dict[int, int] = {}
+    for d in range(len(levels) - 1, 0, -1):
+        pivots: dict[int, int] = {}
+        for i in levels[d]:
+            if row[i] in cleared:
+                continue
+            rows = [row[f] for f in ids[offsets[i] : offsets[i + 1]]]
+            low = min(rows)
+            col = 0
+            for r in rows:
+                col |= 1 << (r - low)
+            xors = 0
+            while (pivot := pivots.get(low)) is not None:
+                col ^= pivot
+                xors += 1
+                if not col:
+                    break
+                shift = (col & -col).bit_length() - 1
+                col >>= shift
+                low += shift
+            else:
+                pivots[low] = col
+            if xors:
+                merged.append((xors, not col))
+        ranks[d] = len(pivots)
+        cleared = pivots
+    out = [len(levels[d]) - ranks[d] - ranks[d + 1] for d in range(len(levels))]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out), merged
 
 
 def _rank_mod2(mat: np.ndarray) -> int:
