@@ -1,10 +1,13 @@
 """Complete homomorphism search by backtracking with arc consistency.
 
-Every source vertex v keeps a domain of target vertices and a support set,
-the union of the target's adjacency rows over that domain.  Revising a
-neighbour of v is one AND of its domain with v's support, and v goes back
-on the propagation queue only when its support shrinks: AC-3 (Mackworth,
-1977) with the set-valued revision of AC-2001 (Bessiere et al., 2005).
+Every source vertex v keeps a domain of target vertices; its support, the
+union of the target's rows over that domain, comes from a memo keyed by
+domain (``bitset.Folded``) that lives for one call and holds at most one
+entry per domain met plus its prefix chain (the domain without its lowest
+bits, one by one): a target has few distinct domains, so each union is
+folded once.  Revising a neighbour of v is one AND of its domain with v's
+support, and v is requeued only when its support shrinks: AC-3 (Mackworth,
+1977) with the reused supports of AC-2001 (Bessiere et al., 2005).
 
 A returned map is always validated; a ``None`` answer is only produced by
 an exhausted complete search, never by a budget cutoff (budget exhaustion
@@ -14,7 +17,9 @@ mistake a timeout for a proof).
 
 from __future__ import annotations
 
-from .bitset import bits, mask_of, union_of
+from operator import or_
+
+from .bitset import Folded, bits, mask_of
 from .errors import DEFAULT_BUDGETS, Budgets, ParseError, PreconditionError, ResourceError
 from .functors import Homomorphism
 from .graphs import Graph, clique
@@ -40,30 +45,26 @@ def hom_exists(g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS):
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
 
     nbrs = [[u for u in bits(g.adj[v]) if u != v] for v in range(n)]
-    adj_h = h.adj
-    # sup[v] is the union of adj_h over dom[v]; whenever the queue is empty
-    # it contains dom[x] for every neighbour x of v
-    first = {d: union_of(adj_h, d) for d in {full, loops_h}}  # the two initial domains
-    sup = [first[d] for d in dom]
+    # domain -> union of the target's rows over it; whenever the queue is
+    # empty, support[dom[v]] contains dom[x] for every neighbour x of v
+    support = Folded(h.adj, or_, 0)
     nodes = depth = 0  # depth: most variables assigned with propagation succeeding
-    trail: list[tuple[int, int, int]] = []  # (variable, domain, support) before a change
+    trail: list[tuple[int, int]] = []  # (variable, domain) before a change
 
     def propagate(start: int) -> bool:
         queue = [start]  # variables whose support shrank
         while queue:
             w = queue.pop()
-            sw = sup[w]
+            sw = support[dom[w]]
             for u in nbrs[w]:
                 du = dom[u]
                 new = du & sw
                 if new != du:
                     if not new:
                         return False
-                    trail.append((u, du, sup[u]))
+                    trail.append((u, du))
                     dom[u] = new
-                    new = union_of(adj_h, new)
-                    if new != sup[u]:
-                        sup[u] = new
+                    if support[new] != support[du]:
                         queue.append(u)
         return True
 
@@ -74,7 +75,6 @@ def hom_exists(g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS):
 
     # depth-first with an explicit stack of (position, untried values, trail
     # length on reaching the position); undoing the trail restores the domains
-    # and supports
     stack = [(0, dom[order[0]], 0)]
     while stack:
         pos, untried, mark = stack.pop()
@@ -88,13 +88,11 @@ def hom_exists(g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS):
                 f"search node budget {budgets.node_budget} exhausted at depth {depth} of {n}"
             )
         while len(trail) > mark:
-            v, d, s = trail.pop()
+            v, d = trail.pop()
             dom[v] = d
-            sup[v] = s
         var = order[pos]
-        trail.append((var, dom[var], sup[var]))
+        trail.append((var, dom[var]))
         dom[var] = low
-        sup[var] = adj_h[low.bit_length() - 1]
         if propagate(var):
             if pos + 1 == n:
                 return Homomorphism(g, h, tuple(dom[v].bit_length() - 1 for v in range(n)))
@@ -128,10 +126,12 @@ def _greedy_clique(g: Graph) -> int:
 
 
 def hom_equivalent(g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS):
-    """(equivalent?, witness g->h, witness h->g)."""
+    """(equivalent?, witness g->h, witness h->g); no h->g search once no g->h exists."""
     fwd = hom_exists(g, h, budgets)
+    if fwd is None:
+        return False, None, None
     back = hom_exists(h, g, budgets)
-    return fwd is not None and back is not None, fwd, back
+    return back is not None, fwd, back
 
 
 # -- witness file format: one line "m <u> <f(u)>" per source vertex -----------

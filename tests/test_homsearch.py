@@ -4,11 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omegalab.errors import ContractError, ParseError, PreconditionError, ResourceError
+from omegalab.errors import Budgets, ContractError, ParseError, PreconditionError, ResourceError
 from omegalab.functors import Homomorphism, omega, subdivide, walk_power
 from omegalab.graphs import Graph, clique, cycle_graph, path_graph, petersen
 from omegalab.homsearch import (
-    HomSearchConfig,
     chromatic_number,
     format_witness,
     hom_equivalent,
@@ -31,7 +30,7 @@ def test_hom_exists_examples():
 def test_budget_is_distinct_from_none():
     g, h = petersen_pair()
     with pytest.raises(ResourceError):
-        hom_exists(g, h, HomSearchConfig(node_budget=3))
+        hom_exists(g, h, Budgets(node_budget=3))
 
 
 def petersen_pair():
@@ -58,6 +57,16 @@ def test_hom_equivalent_examples():
     assert eq
     eq, _, _ = hom_equivalent(walk_power(omega(clique(3), 3).graph, 3), clique(3))
     assert eq
+
+
+def test_hom_equivalent_stops_on_a_decided_forward_search():
+    # no map K4 -> omega_3(K5) exists, which the forward search proves at
+    # once; the backward search would run out of this budget
+    g, h = clique(4), omega(clique(5), 3).graph
+    budgets = Budgets(node_budget=2000)
+    assert hom_equivalent(g, h, budgets) == (False, None, None)
+    with pytest.raises(ResourceError, match="^search node budget 2000 exhausted"):
+        hom_exists(h, g, budgets)
 
 
 def test_solver_matches_bruteforce_on_random_pairs():
@@ -118,7 +127,7 @@ def test_search_tree_is_pinned(name):
     least, found = min_deciding_budget(g, h)
     assert (least, "none" if found is None else "exists") == (budget, verdict)
     with pytest.raises(ResourceError):
-        hom_exists(g, h, HomSearchConfig(node_budget=budget - 1))
+        hom_exists(g, h, Budgets(node_budget=budget - 1))
 
 
 def test_the_root_is_arc_consistent_before_the_first_assignment():
@@ -138,11 +147,27 @@ def test_budget_error_names_the_depth_reached():
     g, h = omega(clique(4), 3).graph, clique(3)
     for budget, depth in ((1, 1), (6, 6), (100, 15), (3491, 15)):
         with pytest.raises(ResourceError) as err:
-            hom_exists(g, h, HomSearchConfig(node_budget=budget))
+            hom_exists(g, h, Budgets(node_budget=budget))
         assert str(err.value) == f"search node budget {budget} exhausted at depth {depth} of 28"
     # every value of C5's first vertex is refuted by propagation alone
     with pytest.raises(ResourceError, match="^search node budget 6 exhausted at depth 0 of 5$"):
-        hom_exists(cycle_graph(5), cycle_graph(7), HomSearchConfig(node_budget=6))
+        hom_exists(cycle_graph(5), cycle_graph(7), Budgets(node_budget=6))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: (omega(clique(4), 5).graph, clique(3)), "at depth 47 of 124"),
+        (lambda: (omega(clique(5), 3).graph, clique(4)), "at depth 37 of 75"),
+    ],
+)
+def test_benchmark_probes_stop_where_pinned(build, message):
+    # the two 50,000-node probes of the benchmark's search workload: a change
+    # to their search tree shows here, not only as a moved timing
+    g, h = build()
+    with pytest.raises(ResourceError) as err:
+        hom_exists(g, h, Budgets(node_budget=50_000))
+    assert str(err.value) == f"search node budget 50000 exhausted {message}"
 
 
 def test_witness_composition_validates():

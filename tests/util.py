@@ -385,12 +385,12 @@ def min_deciding_budget(g: Graph, h: Graph):
     verdict, and that verdict: the budget doubles until the search decides,
     then bisection finds the boundary.  The search does not depend on its
     budget, so this is the number of nodes the search takes (at least 1)."""
-    from omegalab.errors import ResourceError
-    from omegalab.homsearch import HomSearchConfig, hom_exists
+    from omegalab.errors import Budgets, ResourceError
+    from omegalab.homsearch import hom_exists
 
     def verdict(budget: int):
         try:
-            return True, hom_exists(g, h, HomSearchConfig(node_budget=budget))
+            return True, hom_exists(g, h, Budgets(node_budget=budget))
         except ResourceError:
             return False, None
 
