@@ -14,8 +14,9 @@ edge's lesser end.  ``omega``, ``omega_prime`` and ``shortcut`` return an
 
 Tuple components are stored as int bitmasks over the base graph.  A tuple
 (A_0, ..., A_l) requires A_0 to be a singleton, every component nonempty,
-and consecutive components fully joined.  Tuples with an empty component
-would be isolated and are not enumerated (see the package decisions log).
+and consecutive components fully joined.  A tuple with an empty component
+has no neighbours, so it is isolated, and ``build_box`` drops isolated
+vertices; such tuples are not enumerated.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Both parameterize by the half index k, acting on the functor of odd index
 
 Each property of a matching is checked once: a recipe's toggle must stay in
 the shortcut complex and be an involution without fixed points
-(``_toggle_pairs``, the one toggle check); ``collapse`` checks face/cofacet
+(``_check_toggle``, the one toggle check); ``collapse`` checks face/cofacet
 pairs that cover exactly the simplices outside the target under the shore
 swap of a free complex, and a completed collapse proves acyclicity.
 ``is_acyclic`` is the standalone check.  A failure is a falsification
@@ -26,32 +26,35 @@ the face-level steps only when they are read.
 Both recipes, their collapses and the shortcut complex's Betti vector read
 one face table (``boxcomplex.FaceTable``), built once per shortcut complex:
 dense ids in mask order, and every face's codimension-1 faces and mirror as
-ids.  A recipe emits partner ids over it.  The removal phases come from one
+ids.  A recipe is its domain and one partner array over it: a matching is
+an involution, and below the mask API that array is its only form.  The
+removal phases come from one
 scan over the faces outside the unmodified box complex, one face of each
 mirror pair, that reads each face's offense and capped tail from folded
 memos keyed by shore sets (``bitset.Folded``): offender rows ORed over a
 shore, common neighborhoods ANDed over one.  The memos hold one entry per
 shore set the scan meets and are dropped with it.  Recipes are collapsed
 on ids by ``_CollapseState``, with flag sets for domains, targets and the
-faces a collapse leaves; it counts cofacets once, and the three phases run
-on one state, each going on from where the last one ended.
-``saturation_matching`` and ``removal_phases`` read the recipes back as
-masks.  ``collapse`` turns a matching of masks into ids once and runs the
-same checks and loop on a fresh state.  Ids in mask order make the heap
-pop faces in the order a heap of masks would, so the certificates are
-those of a collapse on masks.
+faces a collapse leaves; it counts cofacets once, checks each pair at its
+lesser id, by ascending id, and the three phases run on one state, each
+going on from where the last one ended.  ``saturation_matching`` and
+``removal_phases`` read the recipes back as masks, pairs by lesser id.
+``collapse`` turns a matching of masks into one partner array and runs the
+same checks and loop on a fresh state.  Ids in mask order make the lesser
+id of a face/cofacet pair its face, and make the heap pop faces in the
+order a heap of masks would, so the certificates are those of a collapse
+on masks.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
-from collections.abc import Iterable
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import and_, not_, or_
+from operator import and_, gt, not_, or_
 
 from .bitset import Folded, bits, holders, mask_of, union_of
 from .boxcomplex import Faces, FaceTable, Z2Complex, build_box
@@ -152,10 +155,12 @@ def collapse(
     removed in the same step.  No face on a directed cycle ever becomes free,
     so ending exactly at ``sub`` proves the matching acyclic; else raises.
 
-    The pairs are turned into ids of the face table ``simplices`` is drawn
-    from (a new table when it is a plain set) once; the checks and the
-    collapse then run on ids, on a fresh ``_CollapseState``.  The remaining
-    faces are drawn from the same table.
+    The pairs are read once into one partner array over the face table
+    ``simplices`` is drawn from (a new table when it is a plain set),
+    refusing a simplex in two pairs and a pair given cofacet first; the
+    other checks, by ascending face, and the collapse then run on ids, on
+    a fresh ``_CollapseState``.  The remaining faces are drawn from the
+    same table.
     """
     if not complex_.free:
         raise ContractError("equivariant collapses need a free complex")
@@ -168,12 +173,13 @@ def collapse(
         simplices = FaceTable({*simplices.table.masks, *masks}).faces(simplices)
         ids = list(map(simplices.table.index.__getitem__, masks))
     partner = array("i", [-1]) * len(simplices.flags)
-    pairs = list(zip(ids[::2], ids[1::2]))
-    for ia, ib in pairs:
+    for ia, ib in zip(ids[::2], ids[1::2]):
         if partner[ia] >= 0 or partner[ib] >= 0:
             raise ContractError("a simplex appears in two matching pairs")
+        if ia >= ib:  # ids in mask order: a face's id is below its cofacet's
+            raise ContractError("matching pair is not a face/cofacet pair")
         partner[ia], partner[ib] = ib, ia
-    return _CollapseState(complex_, simplices).run(sub, partner, pairs)
+    return _CollapseState(complex_, simplices).run(sub, partner)
 
 
 class _CollapseState:
@@ -197,13 +203,11 @@ class _CollapseState:
             for f in ids[offsets[s] : offsets[s + 1]]:
                 counts[f] -= 1
 
-    def run(
-        self, sub: AbstractSet[int], partner: array, pairs: list[tuple[int, int]]
-    ) -> CollapseCertificate:
-        """``collapse`` from the current faces onto ``sub``, on ids: the
-        ``pairs`` (face, cofacet) are checked in order, then the cover, then
-        the heap loop runs.  ``partner`` maps every matched id to its partner
-        and holds -1 elsewhere."""
+    def run(self, sub: AbstractSet[int], partner: array) -> CollapseCertificate:
+        """``collapse`` from the current faces onto ``sub``, on ids:
+        ``partner`` maps every matched id to its partner and holds -1
+        elsewhere.  Each pair is checked once, at its lesser id (its face),
+        by ascending id, then the cover, then the heap loop runs."""
         simplices = self.current
         table = simplices.table
         matched = len(partner) - partner.count(-1)
@@ -212,7 +216,8 @@ class _CollapseState:
         inside = simplices.drawn(sub)
         known, protected = simplices.flags, inside.flags
         lower = bytearray(n)
-        for ia, ib in pairs:
+        for ia in compress(range(n), map(gt, partner, range(n))):
+            ib = partner[ia]
             a, b = masks[ia], masks[ib]
             if a.bit_count() + 1 != b.bit_count() or a & ~b:
                 raise ContractError("matching pair is not a face/cofacet pair")
@@ -352,8 +357,8 @@ def saturation_matching(sc: ShortcutComplex) -> tuple[MorseMatching, set[int]]:
     by the saturated partner of the least such vertex.  Returns the matching
     and the protected subcomplex (simplices purely on saturated vertices),
     ``_saturation_partners`` read back as masks."""
-    domain, pairs, _ = _saturation_partners(sc)
-    return _read_back(sc, pairs), set(sc.simplices - domain)
+    domain, partner = _saturation_partners(sc)
+    return _read_back(sc, partner), set(sc.simplices - domain)
 
 
 def removal_phases(sc: ShortcutComplex):
@@ -363,32 +368,30 @@ def removal_phases(sc: ShortcutComplex):
     partition the simplices outside the unmodified box complex.  The
     matchings and domains are ``_phase_partners`` read back as masks.
     """
-    return [(_read_back(sc, pairs), domain) for domain, pairs, _ in _phase_partners(sc)]
+    return [(_read_back(sc, partner), domain) for domain, partner in _phase_partners(sc)]
 
 
-def _read_back(sc: ShortcutComplex, pairs: list[tuple[int, int]]) -> MorseMatching:
-    """The id pairs of a recipe over the shortcut table, as a mask matching."""
-    masks = sc.simplices.table.masks
-    return MorseMatching(tuple((masks[a], masks[b]) for a, b in pairs))
+def _read_back(sc: ShortcutComplex, partner: array) -> MorseMatching:
+    """A recipe's partner array over the shortcut table, as a mask
+    matching: its pairs by lesser id, which is each pair's face."""
+    masks, n = sc.simplices.table.masks, len(partner)
+    lesser = compress(range(n), map(gt, partner, range(n)))
+    return MorseMatching(tuple((masks[i], masks[partner[i]]) for i in lesser))
 
 
-# a recipe on ids of the shortcut table: its domain, its (face, cofacet) id
-# pairs by lesser id, and every id's partner (-1 off the domain)
-Recipe = tuple[Faces, list[tuple[int, int]], array]
+# a recipe on ids of the shortcut table: its domain and every id's partner
+# (-1 off the domain)
+Recipe = tuple[Faces, array]
 
 
-def _toggle_pairs(
-    table: FaceTable, domain: Iterable[int], partner: array
-) -> tuple[Faces, list[tuple[int, int]]]:
-    """Check a recipe's toggle and pair its domain up.  ``domain`` holds
-    ids of ``table`` in ascending order and ``partner[i]`` the id of i's
-    toggle, -1 where the toggle is not in the table; the toggle must stay in
-    the table and be an involution without fixed points on the domain.
-    Returns the domain, drawn from the table, and its (face, cofacet) id
-    pairs by lesser id."""
+def _check_toggle(table: FaceTable, flags: bytes, partner: array) -> Faces:
+    """Check a recipe's toggle on its domain, the ids of ``table`` whose
+    ``flags`` are 1: ``partner[i]`` is the id of i's toggle, -1 where it is
+    not in the table; the toggle must stay in the table and be an
+    involution without fixed points on the domain, checked by ascending id.
+    Returns the domain, drawn from the table."""
     masks = table.masks
-    flags, pairs = bytearray(len(masks)), []
-    for i in domain:
+    for i in compress(range(len(masks)), flags):
         j = partner[i]
         if j < 0:
             raise ContractError(f"toggle of {masks[i]:#x} left the shortcut complex")
@@ -396,10 +399,7 @@ def _toggle_pairs(
             raise ContractError(
                 f"toggle of {masks[i]:#x} is not an involution without fixed points"
             )
-        flags[i] = 1
-        if i < j:
-            pairs.append((i, j) if masks[i].bit_count() < masks[j].bit_count() else (j, i))
-    return Faces(table, flags), pairs
+    return Faces(table, flags)
 
 
 def _saturation_partners(sc: ShortcutComplex) -> Recipe:
@@ -407,16 +407,16 @@ def _saturation_partners(sc: ShortcutComplex) -> Recipe:
     unsaturated token."""
     table = sc.simplices.table
     masks, get = table.masks, table.index.get
-    domain, partner = [], array("i", [-1]) * len(masks)
+    flags, partner = bytearray(len(masks)), array("i", [-1]) * len(masks)
     for i in sc.simplices.ids():
         s = masks[i]
         lo, hi = sc.box.split(s)
         if union := (lo | hi) & ~sc.saturated_pos:
             # least unsaturated vertex over both shores, in canonical order
             p = (union & -union).bit_length() - 1
-            domain.append(i)
+            flags[i] = 1
             partner[i] = get(s ^ (1 << sc.box.token(sc.sat_token[p], not (lo >> p & 1))), -1)
-    return (*_toggle_pairs(table, domain, partner), partner)
+    return _check_toggle(table, flags, partner), partner
 
 
 def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
@@ -474,11 +474,11 @@ def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
         phase_of[i] = phase_of[m] = phase
         partner = partners[phase - 1]
         partner[i], partner[m] = j, mirror[j] if j >= 0 else -1
-    recipes, ids = [], range(len(masks))
+    recipes = []
     for phase, partner in enumerate(partners, 1):
         # 1 where the face is in this phase, else 0
         in_phase = phase_of.translate(bytes(b == phase for b in range(256)))
-        recipes.append((*_toggle_pairs(table, compress(ids, in_phase), partner), partner))
+        recipes.append((_check_toggle(table, in_phase, partner), partner))
     return recipes
 
 
@@ -531,9 +531,9 @@ class SaturationCollapse:
 
     @cached_property
     def steps(self) -> tuple[tuple[int, int], ...]:
-        _, pairs, partner = _saturation_partners(self.sc)
+        _, partner = _saturation_partners(self.sc)
         state = _CollapseState(self.sc.box, self.sc.simplices)
-        return state.run(self.remaining, partner, pairs).steps
+        return state.run(self.remaining, partner).steps
 
 
 def shortcut_collapses(sc: ShortcutComplex):
@@ -548,9 +548,7 @@ def shortcut_collapses(sc: ShortcutComplex):
     saturation = SaturationCollapse(sc)
     recipes = _phase_partners(sc)
     state = _CollapseState(sc.box, sc.simplices)
-    phases = [
-        state.run(state.current - domain, partner, pairs) for domain, pairs, partner in recipes
-    ]
+    phases = [state.run(state.current - domain, partner) for domain, partner in recipes]
     if state.current != sc.plain_box_simplices():
         raise ContractError("three-phase collapse missed the unmodified box complex")
     return saturation, phases

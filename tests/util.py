@@ -26,7 +26,7 @@ from omegalab.errors import ContractError
 from omegalab.functors import Homomorphism
 from omegalab.graphs import Graph, common_neighborhood, is_joined
 from omegalab.homology import euler_characteristic
-from omegalab.morse import MorseMatching, _replacement, _toggle_pairs
+from omegalab.morse import MorseMatching, _check_toggle, _replacement
 
 
 def cli_env() -> dict[str, str]:
@@ -243,12 +243,12 @@ def phase_partners_reference(sc):
     """Reference for ``morse._phase_partners``: one ``offense`` call per
     face and each capped tail taken directly, by ``capped_tail_reference``
     once per (this shore, other shore's unsaturated positions).  Returns the
-    same recipes: per phase, the domain, its id pairs and the partner ids."""
+    same recipes: per phase, the domain and the partner ids."""
     table = sc.simplices.table
     masks, get = table.masks, table.index.get
     capped: dict[tuple[int, int], int] = {}
     replaced: dict[tuple[int, int], int] = {}  # (p, tail) -> position of the replacement
-    phases = [([], array("i", [-1]) * len(masks)) for _ in range(3)]
+    phases = [(bytearray(len(masks)), array("i", [-1]) * len(masks)) for _ in range(3)]
     for i in (sc.simplices - sc.plain_box_simplices()).ids():
         s = masks[i]
         if (found := offense(sc, s)) is None:
@@ -263,9 +263,9 @@ def phase_partners_reference(sc):
         if (pos := replaced.get(key := (p, tail))) is None:
             pos = replaced[key] = _replacement(sc, p, tail)
         domain, partner = phases[phase - 1]
-        domain.append(i)
+        domain[i] = 1
         partner[i] = get(s ^ (1 << sc.box.token(pos, shore)), -1)
-    return [(*_toggle_pairs(table, domain, partner), partner) for domain, partner in phases]
+    return [(_check_toggle(table, domain, partner), partner) for domain, partner in phases]
 
 
 def capped_tail_reference(sc, mine: int, unsaturated: int) -> int:
