@@ -3,9 +3,11 @@
 Tokens of a complex are laid out as all white-shore copies first, then all
 black-shore copies, so the involution is a half-shift: token t mirrors to
 t +- h where h is the shore size.  Simplices are int bitmasks over tokens.
-A materialized complex is a ``FaceTable`` (dense ids and boundaries, which
-the collapses and the homology share) and its simplex sets are ``Faces``
-drawn from it.
+A materialized complex is a ``FaceTable`` (dense ids in mask order, with
+every face's mirror and pivot as ids, which the collapses and the homology
+share) and its simplex sets are ``Faces`` drawn from it.  No face's full
+boundary is kept: the collapses build rows per mirror pair
+(``morse._CollapseState``) and the homology reads one pivot per face.
 """
 
 from __future__ import annotations
@@ -24,61 +26,53 @@ from .graphs import Graph, common_neighborhood
 class FaceTable:
     """Faces sorted by mask value, with dense ids in that order.
 
-    ``masks[i]`` is face i and ``index`` inverts it.  ``boundary()`` gives
-    every face's codimension-1 faces as ids, in flat CSR form: those of face
-    i are ``ids[offsets[i]:offsets[i + 1]]``.  A face whose codimension-1
-    faces are not all in the table keeps the ones that are; ``closed``, set
-    with the boundary, says whether none was missing.  ``mirrors(h)`` gives
-    every face's mirror as an id.  Ids in mask order make a heap of ids pop
-    in mask order.
+    ``masks[i]`` is face i and ``index`` inverts it.  ``mirrors(h)`` gives
+    every face's mirror as an id, and ``pivots()`` every face's face
+    without its lowest token, both built once.  ``closed`` says whether
+    every codimension-1 face of a face is in the table; it is None until a
+    pass over the rows (``Faces.is_closed``, or the pair rows of a
+    collapse on the whole table) records it.  Ids in mask order make a heap
+    of ids pop in mask order.
     """
 
-    __slots__ = ("masks", "index", "closed", "_boundary", "_mirrors")
+    __slots__ = ("masks", "index", "closed", "_mirrors", "_pivots")
 
     def __init__(self, masks: Iterable[int]):
         self.masks = sorted(masks)  # distinct masks
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.closed: bool | None = None
-        self._boundary: tuple[array, array] | None = None
         self._mirrors: tuple[int, array] | None = None
-
-    def boundary(self) -> tuple[array, array]:
-        """``(offsets, ids)`` of every face's codimension-1 faces, built once.
-
-        A row drops its face's tokens lowest first, so its ids descend: the
-        first is the face without the lowest token, the greatest id in the
-        row whenever that face is in the table.  ``betti_mod2`` reads a
-        column's pivot there."""
-        if self._boundary is None:
-            get = self.index.get
-            offsets = array("i", [0])
-            ids = array("i")
-            closed = True
-            for s in self.masks:
-                if s & (s - 1):  # a vertex's only facet is empty, and so no face
-                    m = s
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        f = get(s ^ low)
-                        if f is None:
-                            closed = False
-                        else:
-                            ids.append(f)
-                offsets.append(len(ids))
-            self.closed = closed
-            self._boundary = offsets, ids
-        return self._boundary
+        self._pivots: array | None = None
 
     def mirrors(self, h: int) -> array:
         """The id of every face's mirror under the half-shift swap of shores
         of h positions, or -1 where the mirror is not in the table; built
-        once.  Keyed by h rather than by a complex's ``mirror``, so that the
-        table keeps no reference to a complex."""
+        once, with one lookup per mirror pair.  The lesser mask of a pair
+        is the one whose black half is below its white half.  Keyed by h
+        rather than by a complex's ``mirror``, so that the table keeps no
+        reference to a complex."""
         if self._mirrors is None or self._mirrors[0] != h:
             get, white = self.index.get, (1 << h) - 1
-            self._mirrors = h, array("i", (get(m >> h | (m & white) << h, -1) for m in self.masks))
+            out = array("i", [-1]) * len(self.masks)
+            for i, m in enumerate(self.masks):
+                lo, hi = m & white, m >> h
+                if hi < lo:
+                    if (j := get(hi | lo << h)) is not None:
+                        out[i], out[j] = j, i
+                elif hi == lo:  # the swap fixes it
+                    out[i] = i
+            self._mirrors = h, out
         return self._mirrors[1]
+
+    def pivots(self) -> array:
+        """The id of every face without its lowest token, or -1 where that
+        face is not in the table; built once.  It is the greatest id among
+        a face's codimension-1 faces, and ``betti_mod2`` reads a column's
+        pivot there."""
+        if self._pivots is None:
+            get = self.index.get
+            self._pivots = array("i", (get(s ^ (s & -s), -1) for s in self.masks))
+        return self._pivots
 
     def faces(self, masks: Iterable[int] | None = None) -> Faces:
         """All faces of the table, or the members of ``masks`` that are in it."""
@@ -145,17 +139,25 @@ class Faces(Set):
     __hash__ = Set._hash
 
     def is_closed(self) -> bool:
-        """True iff every codimension-1 face of a member is a member."""
-        offsets, ids = self.table.boundary()
-        if self._len == len(self.flags):
-            return self.table.closed
-        flags, masks = self.flags, self.table.masks
-        for i in self.ids():
-            s = masks[i]
-            found = sum(flags[f] for f in ids[offsets[i] : offsets[i + 1]])
-            if found != (s.bit_count() if s & (s - 1) else 0):
-                return False
-        return True
+        """True iff every codimension-1 face of a member is a member.  For
+        the whole table, reads ``table.closed`` when a pass has recorded
+        it; otherwise scans the members, and records it for the whole
+        table."""
+        table = self.table
+        whole = self._len == len(self.flags)
+        if whole and table.closed is not None:
+            return table.closed
+        flags, get = self.flags, table.index.get
+        # a vertex's only facet is empty, and so no face
+        closed = all(
+            (f := get(s ^ 1 << t)) is not None and flags[f] == 1
+            for s in self
+            if s & (s - 1)
+            for t in bits(s)
+        )
+        if whole:
+            table.closed = closed
+        return closed
 
 
 @dataclass
@@ -252,7 +254,9 @@ class Z2Complex:
                     raise ResourceError(
                         f"simplex budget {budget} exceeded after {i} of {len(self.facets)} facets"
                     )
-        return Faces.of(seen)
+        masks = sorted(seen)
+        seen.clear()  # before the table builds its index
+        return FaceTable(masks).faces()
 
     def validate(self) -> None:
         h = self.h

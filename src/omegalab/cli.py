@@ -157,7 +157,7 @@ def morse(which, infile, half, certificate, **budgets):
         shown.append(("saturation matching", "saturation collapse", pairs, saturation))
     if which in ("54", "both"):
         shown += [
-            (f"phase {i}", f"phase {i} collapse", len(cert.steps), cert)
+            (f"phase {i}", f"phase {i} collapse", cert.step_count, cert)
             for i, cert in enumerate(phases, start=1)
         ]
     for matching_label, collapse_label, pairs, cert in shown:

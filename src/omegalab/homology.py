@@ -5,20 +5,22 @@ the package: equal Betti vectors are a necessary condition, cheap enough to
 assert on every collapse certificate.
 
 ``betti_mod2`` reads the face table its simplices are drawn from (see
-``boxcomplex.FaceTable``), so the boundary ids the collapses use serve here
-too.  The d-th boundary has a column per d-face and a row per (d-1)-face,
-and a column's pivot is its greatest row id.  Ids follow mask order, so the
-pivot of a face's own column is the face without its lowest token, the
-first id of its boundary row: one read.  The reduction runs from the top
-dimension down, each level's columns in id order.  A column whose pivot no
-earlier column holds is recorded as its face id and never built, the
-shortcut Ripser takes for its apparent and emergent pairs (Bauer, "Ripser:
-efficient computation of Vietoris-Rips persistence barcodes", J. Appl.
-Comput. Topol. 2021).  Only a second column on a taken pivot builds the two
-columns, as ints over the positions of the (d-1)-faces shifted down to the
-pivot, and reduces.  Clearing (Chen and Kerber, "Persistent homology
-computation with a twist", EuroCG 2011) skips the column of a (d-1)-face
-that is the pivot of a column of the d-th boundary: it reduces to zero.
+``boxcomplex.FaceTable``).  The d-th boundary has a column per d-face and a
+row per (d-1)-face, and a column's pivot is its greatest row id.  Ids
+follow mask order, so the pivot of a face's own column is the face without
+its lowest token, which the table caches for every face with one lookup
+(``FaceTable.pivots``): one read.  No boundary is stored.  The reduction
+runs from the top dimension down, each level's columns in id order.  A
+column whose pivot no earlier column holds is recorded as its face id and
+never built, the shortcut Ripser takes for its apparent and emergent pairs
+(Bauer, "Ripser: efficient computation of Vietoris-Rips persistence
+barcodes", J. Appl. Comput. Topol. 2021).  Only a second column on a taken
+pivot builds the two columns, from their faces' codimension-1 faces looked
+up on demand, as ints over the positions of the (d-1)-faces shifted down
+to the pivot, and reduces.  Clearing (Chen and Kerber, "Persistent
+homology computation with a twist", EuroCG 2011) skips the column of a
+(d-1)-face that is the pivot of a column of the d-th boundary: it reduces
+to zero.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
 
+from .bitset import bits
 from .boxcomplex import Faces
 from .errors import DEFAULT_BUDGETS, ContractError, ResourceError
 
@@ -39,11 +42,11 @@ def betti_mod2(
     Most columns are never built: a column whose pivot no earlier column
     holds is kept as its face id, and only a second column landing on the
     same pivot builds both.  On the 166,250 faces of the Petersen k=1
-    shortcut complex, with the table's boundary already built, 83,130
-    pivots are taken and 102 column XORs done, in 0.07-0.11 s of CPU and
-    4.1 MB of traced peak on a 2-vCPU Xeon host; building every column not
-    cleared took 0.29-0.47 s and 28 MB.  The empty mask is refused: it is
-    not a simplex.
+    shortcut complex, with the table's pivots already cached (0.09 s and
+    0.7 MB more when they are not), 83,130 pivots are taken and 102 column
+    XORs done, in 0.06-0.08 s of CPU and 4.1 MB of traced peak on a 2-vCPU
+    Xeon host; building every column not cleared took 0.29-0.47 s and
+    28 MB.  The empty mask is refused: it is not a simplex.
     """
     faces = Faces.of(simplices)
     if not faces:
@@ -55,8 +58,7 @@ def betti_mod2(
     if not faces.is_closed():
         raise ContractError("homology needs every face of every simplex")
     table = faces.table
-    masks = table.masks
-    offsets, ids = table.boundary()
+    masks, get, pivot = table.masks, table.index.get, table.pivots()
     levels: list[array] = []  # levels[d]: the ids of the d-faces, ascending
     for i in faces.ids():
         d = masks[i].bit_count() - 1
@@ -75,15 +77,15 @@ def betti_mod2(
         for i in levels[d]:
             if i in cleared:
                 continue
-            low = ids[offsets[i]]
+            low = pivot[i]
             if pivots.setdefault(low, i) == i:
                 continue
-            col = _column(i, offsets, ids, below)
+            col = _column(masks[i], get, below)
             top = bisect_left(below, low)
             while (j := pivots.get(low)) is not None:
                 held = built.get(low)
                 if held is None:
-                    held = built[low] = _column(j, offsets, ids, below)
+                    held = built[low] = _column(masks[j], get, below)
                 col ^= held
                 if not col:
                     break
@@ -102,11 +104,12 @@ def betti_mod2(
     return tuple(out)
 
 
-def _column(i: int, offsets: array, ids: array, below: array) -> int:
-    """Face i's column over the ascending ids ``below``, shifted down to its
-    pivot: bit j is the face j places before the pivot."""
-    at = [bisect_left(below, f) for f in ids[offsets[i] : offsets[i + 1]]]
-    top = at[0]
+def _column(s: int, get, below: array) -> int:
+    """The column of face s over the ascending ids ``below``, its
+    codimension-1 faces looked up by ``get``, shifted down to its pivot:
+    bit j is the face j places before the pivot."""
+    at = [bisect_left(below, get(s ^ 1 << t)) for t in bits(s)]
+    top = at[0]  # the face without the lowest token: the pivot
     col = 0
     for p in at:
         col |= 1 << (top - p)

@@ -25,25 +25,32 @@ the face-level steps only when they are read.
 
 Both recipes, their collapses and the shortcut complex's Betti vector read
 one face table (``boxcomplex.FaceTable``), built once per shortcut complex:
-dense ids in mask order, and every face's codimension-1 faces and mirror as
-ids.  A recipe is its domain and one partner array over it: a matching is
-an involution, and below the mask API that array is its only form.  The
-removal phases come from one
-scan over the faces outside the unmodified box complex, one face of each
-mirror pair, that reads each face's offense and capped tail from folded
-memos keyed by shore sets (``bitset.Folded``): offender rows ORed over a
-shore, common neighborhoods ANDed over one.  The memos hold one entry per
-shore set the scan meets and are dropped with it.  Recipes are collapsed
-on ids by ``_CollapseState``, with flag sets for domains, targets and the
-faces a collapse leaves; it counts cofacets once, checks each pair at its
-lesser id, by ascending id, and the three phases run on one state, each
-going on from where the last one ended.  ``saturation_matching`` and
-``removal_phases`` read the recipes back as masks, pairs by lesser id.
-``collapse`` turns a matching of masks into one partner array and runs the
-same checks and loop on a fresh state.  Ids in mask order make the lesser
-id of a face/cofacet pair its face, and make the heap pop faces in the
-order a heap of masks would, so the certificates are those of a collapse
-on masks.
+dense ids in mask order, and every face's mirror as an id.  A recipe is its
+domain and one partner array over it: a matching is an involution, and
+below the mask API that array is its only form.  The removal phases come
+from one scan over the faces outside the unmodified box complex, one face
+of each mirror pair, that reads each face's offense and capped tail from
+folded memos keyed by shore sets (``bitset.Folded``): offender rows ORed
+over a shore, common neighborhoods ANDed over one.  The memos hold one
+entry per shore set the scan meets and are dropped with it.
+
+Recipes are collapsed on ids by ``_CollapseState``, on mirror pairs: an
+equivariant collapse of a free complex is a collapse of its quotient by the
+swap (Freij, "Equivariant discrete Morse theory", Discrete Math. 2009).  It
+keeps flag sets for the faces a collapse leaves and one row per mirror
+pair, at its lesser id, of the pairs of its codimension-1 faces; no face's
+full boundary is built.  It counts cofacets once per pair, checks each
+matched pair at its lesser id, by ascending id, and pops only lesser ids; a
+step removes a face, its cofacet and both mirrors.  The three phases run on
+one state, each going on from where the last one ended.  A certificate
+keeps its steps as ids and decodes them to masks when read.
+``saturation_matching`` and ``removal_phases`` read the recipes back as
+masks, pairs by lesser id.  ``collapse`` checks that its simplices are
+closed under the swap, turns a matching of masks into one partner array
+and runs the same checks and loop on a fresh state.  Ids in mask order make
+the lesser id of a face/cofacet pair its face, and make the heap pop faces
+in the order a heap of masks would, so the certificates are those of a
+collapse on masks.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import and_, gt, not_, or_
+from operator import and_, gt, or_
 
 from .bitset import Folded, bits, holders, mask_of, union_of
 from .boxcomplex import Faces, FaceTable, Z2Complex, build_box
@@ -89,10 +96,22 @@ class MorseMatching:
 
 @dataclass(frozen=True)
 class CollapseCertificate:
-    """Ordered elementary collapses; mirror removals appear as their own steps."""
+    """Ordered elementary collapses; mirror removals appear as their own
+    steps.  ``step_ids`` holds four ids of the face table of ``remaining``
+    per pair of steps: a face, its cofacet, and their mirrors."""
 
-    steps: tuple[tuple[int, int], ...]
+    step_ids: array
     remaining: Faces
+
+    @property
+    def steps(self) -> tuple[tuple[int, int], ...]:
+        """The steps as (face, cofacet) mask pairs, decoded on each read."""
+        ids = map(self.remaining.table.masks.__getitem__, self.step_ids)
+        return tuple(zip(ids, ids))
+
+    @property
+    def step_count(self) -> int:
+        return len(self.step_ids) // 2
 
 
 def is_acyclic(matching: MorseMatching) -> bool:
@@ -148,12 +167,13 @@ def collapse(
 ) -> CollapseCertificate:
     """Run the matching as a sequence of equivariant elementary collapses.
 
-    First checks the matching: face/cofacet pairs that cover exactly
-    ``simplices - sub`` and are closed under the shore swap of a free
-    complex.  At every step the removed cofacet is the unique simplex
-    properly containing its face in the current complex; the mirror pair is
-    removed in the same step.  No face on a directed cycle ever becomes free,
-    so ending exactly at ``sub`` proves the matching acyclic; else raises.
+    First checks that ``simplices`` is closed under the shore swap of a
+    free complex, then the matching: face/cofacet pairs that cover exactly
+    ``simplices - sub`` and are closed under the swap.  At every step the
+    removed cofacet is the unique simplex properly containing its face in
+    the current complex; the mirror pair is removed in the same step.  No
+    face on a directed cycle ever becomes free, so ending exactly at
+    ``sub`` proves the matching acyclic; else raises.
 
     The pairs are read once into one partner array over the face table
     ``simplices`` is drawn from (a new table when it is a plain set),
@@ -165,6 +185,10 @@ def collapse(
     if not complex_.free:
         raise ContractError("equivariant collapses need a free complex")
     simplices = Faces.of(simplices)
+    mirror, flags = simplices.table.mirrors(complex_.h), simplices.flags
+    # a simplex the swap fixes is no face of a free complex: refused with them
+    if any(j < 0 or j == i or not flags[j] for i, j in compress(enumerate(mirror), flags)):
+        raise ContractError("simplices are not closed under the shore swap")
     masks = [m for pair in matching.pairs for m in pair]
     ids = list(map(simplices.table.index.get, masks))
     if None in ids:
@@ -179,35 +203,51 @@ def collapse(
         if ia >= ib:  # ids in mask order: a face's id is below its cofacet's
             raise ContractError("matching pair is not a face/cofacet pair")
         partner[ia], partner[ib] = ib, ia
-    return _CollapseState(complex_, simplices).run(sub, partner)
+    return _CollapseState(complex_, simplices, [partner]).run(sub, partner)
 
 
 class _CollapseState:
-    """A collapse in progress on ids of one face table: a flag per face
-    still in the complex and, per face, the number of its cofacets still
-    in it.  Built from ``simplices``, counting the cofacets once over the
-    flat boundary ids; each ``run`` collapses onto a target and leaves the
-    state there, so the next run continues from that target."""
+    """A collapse in progress on ids of one face table, run on mirror
+    pairs: a flag per face still in the complex and, per pair, the number
+    of cofacets its lesser face has still in it.  The complex stays closed
+    under the swap, so a face and its mirror always have as many.
 
-    def __init__(self, complex_: Z2Complex, simplices: Faces):
+    Built from ``simplices``, which must be closed under the swap of a free
+    complex, and from the partner arrays of every matching it will run,
+    with one row per pair (``_pair_rows``) listing only the pairs that hold
+    the face of a matched pair, the only counts the heap loop reads.  A
+    pair appears in a row as often as one of its faces lies in the row's
+    face, so summed over the pairs in the complex it counts the cofacets of
+    either of its faces.  Each ``run`` collapses onto a target and leaves
+    the state there, so the next run continues from that target."""
+
+    def __init__(self, complex_: Z2Complex, simplices: Faces, partners: list[array]):
         table = simplices.table
         n = len(table.masks)
         self.current = simplices
-        self.mirror = table.mirrors(complex_.h)
-        self.offsets, self.ids = offsets, ids = table.boundary()
+        self.mirror = mirror = table.mirrors(complex_.h)
+        # the lesser id of each face's pair, where the pair holds the face of
+        # a matched pair; -1 elsewhere
+        lesser = array("i", [-1]) * n
+        for partner in partners:
+            for i in compress(range(n), map(gt, partner, range(n))):
+                m = mirror[i]
+                lesser[i] = p = i if m < 0 or i < m else m
+                if m >= 0:
+                    lesser[m] = p
+        self.offsets, self.rows = _pair_rows(simplices, mirror, lesser)
         self.alive = bytearray(simplices.flags)
         self.counts = counts = [0] * n
-        for f in ids:
-            counts[f] += 1
-        for s in compress(range(n), map(not_, self.alive)):  # not in simplices
-            for f in ids[offsets[s] : offsets[s + 1]]:
-                counts[f] -= 1
+        for p in self.rows:
+            counts[p] += 1
 
     def run(self, sub: AbstractSet[int], partner: array) -> CollapseCertificate:
         """``collapse`` from the current faces onto ``sub``, on ids:
         ``partner`` maps every matched id to its partner and holds -1
-        elsewhere.  Each pair is checked once, at its lesser id (its face),
-        by ascending id, then the cover, then the heap loop runs."""
+        elsewhere, and must be one of the state's partner arrays.  Each pair
+        is checked once, at its lesser id (its face), by ascending id, then
+        the cover, then the heap loop runs on the lesser ids of mirror
+        pairs."""
         simplices = self.current
         table = simplices.table
         matched = len(partner) - partner.count(-1)
@@ -234,26 +274,23 @@ class _CollapseState:
         if len(inside) != len(sub) or not inside <= simplices or not covered:
             raise ContractError("matching does not cover the simplices outside the subcomplex")
 
-        offsets, ids, alive, counts = self.offsets, self.ids, self.alive, self.counts
-        heap = [low for low in compress(range(n), lower) if counts[low] == 1]
+        offsets, rows, alive, counts = self.offsets, self.rows, self.alive, self.counts
+        heap = [low for low in compress(range(n), lower) if low < mirror[low] and counts[low] == 1]
         heapq.heapify(heap)
-        steps: list[tuple[int, int]] = []
+        steps = array("i")
         while heap:
             low = heapq.heappop(heap)
             if not alive[low] or counts[low] != 1:
                 continue
             up = partner[low]
             mlow, mup = mirror[low], mirror[up]
-            if counts[mlow] != 1:  # only when simplices or sub is not swap-symmetric
-                raise ContractError("mirror step is not an elementary collapse")
-            for s in (low, up, mlow, mup):
-                alive[s] = 0
-                for f in ids[offsets[s] : offsets[s + 1]]:
-                    c = counts[f] = counts[f] - 1
-                    if c == 1 and lower[f] and alive[f]:
-                        heapq.heappush(heap, f)
-            steps.append((masks[low], masks[up]))
-            steps.append((masks[mlow], masks[mup]))
+            for s in (low, min(up, mup)):  # the two pairs, by their lesser ids
+                alive[s] = alive[mirror[s]] = 0
+                for p in rows[offsets[s] : offsets[s + 1]]:
+                    c = counts[p] = counts[p] - 1
+                    if c == 1 and lower[p] and alive[p]:
+                        heapq.heappush(heap, p)
+            steps.extend((low, up, mlow, mup))
 
         if alive != inside.flags:
             raise ContractError(
@@ -261,7 +298,39 @@ class _CollapseState:
                 "the matching is cyclic or the target is not a subcomplex"
             )
         self.current = Faces(table, alive)
-        return CollapseCertificate(tuple(steps), self.current)
+        return CollapseCertificate(steps, self.current)
+
+
+def _pair_rows(simplices: Faces, mirror: array, lesser: array) -> tuple[array, array]:
+    """One row per mirror pair of ``simplices``, at its lesser id i (where
+    ``mirror[i] > i``), in flat CSR form: those of id i are
+    ``rows[offsets[i]:offsets[i + 1]]``, empty at every other id.  The row
+    lists ``lesser[f]`` for each codimension-1 face f of face i in the
+    table, dropping i's tokens lowest first, where ``lesser[f]`` is not -1.
+    When the swap pairs every face of the table and ``simplices`` holds
+    the lesser face of each pair, records in ``table.closed`` whether no
+    codimension-1 face was missing: a face's mirror misses one exactly
+    when the face does."""
+    table = simplices.table
+    masks, get, flags = table.masks, table.index.get, simplices.flags
+    offsets, rows = array("i", [0]), array("i")
+    closed, pairs = True, 0
+    for i, s in enumerate(masks):
+        if flags[i] and mirror[i] > i:
+            pairs += 1
+            m = s if s & (s - 1) else 0  # a vertex has no face
+            while m:
+                low = m & -m
+                m ^= low
+                f = get(s ^ low)
+                if f is None:
+                    closed = False
+                elif (p := lesser[f]) >= 0:
+                    rows.append(p)
+        offsets.append(len(rows))
+    if 2 * pairs == len(masks):
+        table.closed = closed
+    return offsets, rows
 
 
 # -- the shortcut-complex machinery -------------------------------------------
@@ -532,7 +601,7 @@ class SaturationCollapse:
     @cached_property
     def steps(self) -> tuple[tuple[int, int], ...]:
         _, partner = _saturation_partners(self.sc)
-        state = _CollapseState(self.sc.box, self.sc.simplices)
+        state = _CollapseState(self.sc.box, self.sc.simplices, [partner])
         return state.run(self.remaining, partner).steps
 
 
@@ -547,7 +616,7 @@ def shortcut_collapses(sc: ShortcutComplex):
     """
     saturation = SaturationCollapse(sc)
     recipes = _phase_partners(sc)
-    state = _CollapseState(sc.box, sc.simplices)
+    state = _CollapseState(sc.box, sc.simplices, [partner for _, partner in recipes])
     phases = [state.run(state.current - domain, partner) for domain, partner in recipes]
     if state.current != sc.plain_box_simplices():
         raise ContractError("three-phase collapse missed the unmodified box complex")
@@ -564,7 +633,7 @@ def pipeline(g: Graph, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> dict:
     sat_sub = saturation.remaining
     collapse_steps = {
         "saturation": saturation.step_count,
-        "phases": [len(cert.steps) for cert in phases],
+        "phases": [cert.step_count for cert in phases],
     }
     del saturation, phases  # the homology below needs none of the steps or pairs
     plain = sc.plain_box_simplices()

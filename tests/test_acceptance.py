@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, one pass/fail line printed each.
 
 Criterion 4 contains a sub-check that is mathematically unattainable for the
-path on four vertices (see notes in the repository root's decision log and
-the analysis inside the test); it is asserted as stated and fails honestly.
+path on four vertices (see the README paragraph "One acceptance sub-check
+fails by design" and the analysis inside the test); it is asserted as stated
+and fails honestly.
 """
 
 import json

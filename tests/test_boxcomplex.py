@@ -20,7 +20,7 @@ from omegalab.errors import ParameterError, ParseError, ResourceError
 from omegalab.functors import Homomorphism, base_projection, omega
 from omegalab.graphs import Graph, clique, common_neighborhood, cycle_graph, path_graph
 
-from util import box_facets_oracle, faces_oracle, random_graph
+from util import box_facets_oracle, check_against_boundary_reference, faces_oracle, random_graph
 
 
 def test_box_of_k2():
@@ -254,14 +254,33 @@ def facet_lists(draw):
     return h, draw(st.permutations(facets))
 
 
-@given(facet_lists())
-@settings(derandomize=True, max_examples=300, deadline=None)
-def test_simplices_match_the_submask_oracle(case):
-    h, facets = case
-    for k in (Z2Complex(tuple(range(h)), tuple(facets)), make_complex(range(h), facets)):
-        table, want = k.simplices().table, FaceTable(faces_oracle(k.facets))
-        assert table.masks == want.masks
-        assert table.boundary() == want.boundary() and table.closed == want.closed
+def test_simplices_match_the_submask_oracle():
+    # the faces, and the pivots, closedness and pair rows read from them,
+    # against the submask oracle and the reference boundary; also on a table
+    # that lacks a face and its mirror, and on a drawn subset.  The pair rows
+    # must record both a closed and an open table
+    recorded = []
+
+    @given(facet_lists(), st.integers(0, 2**32))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def check(case, seed):
+        h, facets = case
+        rng = random.Random(seed)
+        for k in (Z2Complex(tuple(range(h)), tuple(facets)), make_complex(range(h), facets)):
+            faces, want = k.simplices(), FaceTable(faces_oracle(k.facets))
+            assert faces.table.masks == want.masks and len(faces) == len(want.masks)
+            check_against_boundary_reference(faces, h)
+            masks = set(want.masks)
+            lost = rng.choice(want.masks)
+            gapped = FaceTable(masks - {lost, k.mirror(lost)}).faces()
+            kept = set(rng.sample(range(len(masks)), len(masks) // 2))
+            check_against_boundary_reference(gapped, h, kept)
+            recorded.append(gapped.table.closed)
+            drawn = faces.table.faces(s for s in faces if rng.random() < 0.7)
+            check_against_boundary_reference(drawn, h, kept)
+
+    check()
+    assert {True, False, None} <= set(recorded)
 
 
 def test_box_of_a_clique_has_three_to_the_n_minus_three_faces():

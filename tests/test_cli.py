@@ -355,8 +355,9 @@ def test_a_nonpositive_budget_flag_is_a_usage_error(tmp_path, graph_files, capsy
 
 
 def test_verify_squarefree_reports_known_defect(capsys):
-    # the P4 embedding-injectivity check cannot pass (see decision log);
-    # the suite must fail deterministically on exactly that check
+    # the P4 embedding-injectivity check cannot pass (see README, "One
+    # acceptance sub-check fails by design"); the suite must fail
+    # deterministically on exactly that check
     code, text = run_cli(["verify", "squarefree"], capsys)
     assert code == 1
     failing = [line for line in text.splitlines() if line.startswith("FAIL")]

@@ -19,6 +19,8 @@ from omegalab.homology import (
 from util import (
     betti_mod2_reference,
     betti_oracle,
+    boundary_reference,
+    check_against_boundary_reference,
     component_count,
     euler_of_complex,
     random_free_complex,
@@ -97,24 +99,52 @@ def test_adjoint_box_betti_matches_base():
 
 
 def test_boundary_squares_to_zero():
-    # the face table's boundary: face i's codimension-1 faces, as ids
-    faces = build_box(clique(4)).simplices()
-    table = faces.table
-    offsets, ids = table.boundary()
-    assert table.closed and len(faces) == len(table.masks)
-    for i, s in enumerate(table.masks):
-        facets = ids[offsets[i] : offsets[i + 1]]
-        expect = {s ^ (1 << t) for t in bits(s)} if s.bit_count() > 1 else set()
-        assert sorted(table.masks[f] for f in facets) == sorted(expect)
-        acc = 0
-        for f in facets:
-            for g in ids[offsets[f] : offsets[f + 1]]:
-                acc ^= 1 << g
-        assert acc == 0
+    # the reference boundary holds each face's codimension-1 faces and squares
+    # to zero; read through the mirror pairs of a free complex, the pair rows
+    # square to zero too, and the occurrences of a pair in the rows count the
+    # cofacets of either of its faces, which is what a collapse reads
+    rng = random.Random(99)
+    complexes = [build_box(clique(4))] + [random_free_complex(rng, 7) for _ in range(150)]
+    pairs = 0
+    for k in complexes:
+        faces = k.simplices()
+        table = faces.table
+        offsets, ids, closed = boundary_reference(table)
+        assert closed and len(faces) == len(table.masks)
+        for i, s in enumerate(table.masks):
+            facets = ids[offsets[i] : offsets[i + 1]]
+            expect = {s ^ (1 << t) for t in bits(s)} if s.bit_count() > 1 else set()
+            assert sorted(table.masks[f] for f in facets) == sorted(expect)
+            acc = 0
+            for f in facets:
+                for g in ids[offsets[f] : offsets[f + 1]]:
+                    acc ^= 1 << g
+            assert acc == 0
+        row_offsets, rows = check_against_boundary_reference(faces, k.h)
+        mirror = table.mirrors(k.h)
+        cofacets = [0] * len(table.masks)
+        for f in ids:
+            cofacets[f] += 1
+        occurs = [0] * len(table.masks)
+        for p in rows:
+            occurs[p] += 1
+        for i, m in enumerate(mirror):
+            if i > m:
+                assert occurs[i] == 0
+            else:
+                assert occurs[i] == cofacets[i] == cofacets[m]
+                pairs += 1
+                acc = 0
+                for p in rows[row_offsets[i] : row_offsets[i + 1]]:
+                    for q in rows[row_offsets[p] : row_offsets[p + 1]]:
+                        acc ^= 1 << q
+                assert acc == 0
+    assert pairs > 2_000
 
 
 def test_boundary_rows_lead_with_the_face_without_its_lowest_token():
-    # betti_mod2 reads a column's pivot as the first id of its row
+    # betti_mod2 reads a column's pivot from the table's pivots: the first and
+    # greatest id of the reference boundary row, on free and looped complexes
     rng = random.Random(4242)
     tables = [build_box(clique(4)).simplices().table]
     for _ in range(60):
@@ -123,12 +153,15 @@ def test_boundary_rows_lead_with_the_face_without_its_lowest_token():
         tables.append(build_box(g).simplices().table)
     rows = 0
     for table in tables:
-        offsets, ids = table.boundary()
+        offsets, ids, _ = boundary_reference(table)
+        pivot = table.pivots()
         for i, s in enumerate(table.masks):
             row = ids[offsets[i] : offsets[i + 1]]
             if s.bit_count() >= 2:
-                assert table.masks[row[0]] == s ^ (s & -s) and row[0] == max(row)
+                assert table.masks[row[0]] == s ^ (s & -s) and row[0] == max(row) == pivot[i]
                 rows += 1
+            else:
+                assert pivot[i] == -1  # no table holds the empty mask here
     assert rows > 5_000
 
 

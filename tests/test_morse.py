@@ -32,6 +32,7 @@ from omegalab.morse import (
 
 from util import (
     acyclic_oracle,
+    check_against_boundary_reference,
     collapse_by_masks,
     is_box_face,
     offense,
@@ -107,12 +108,17 @@ def test_collapse_refuses_non_equivariant_matching():
 
 def test_collapse_refuses_non_elementary_mirror_step():
     # white triangle boundary and its mirror, without the black edge {1b, 2b}:
-    # {2b} is a free face of {0b, 2b}, but its mirror {2w} also lies in {1w, 2w}
+    # {2b} is a free face of {0b, 2b}, but its mirror {2w} also lies in {1w, 2w}.
+    # Such a face set is not closed under the swap, and is refused before any
+    # step, by the reference on masks too
     k = make_complex((0, 1, 2), [0b000111, 0b111000])
     simplices = {s for s in k.simplices() if s.bit_count() < 3} - {0b110000}
     matching = MorseMatching(((0b000100, 0b000101), (0b100000, 0b101000)))
-    with pytest.raises(ContractError, match="elementary"):
-        collapse(k, simplices, simplices - matching.matched(), matching)
+    sub = simplices - matching.matched()
+    message = "simplices are not closed under the shore swap"
+    with pytest.raises(ContractError) as err:
+        collapse(k, simplices, sub, matching)
+    assert str(err.value) == message == collapse_by_masks(k, simplices, sub, matching)
 
 
 def test_saturation_matching_on_k3():
@@ -631,10 +637,13 @@ GRAPHS = {
 
 
 def test_betti_of_the_petersen_table_builds_few_columns(named_complex):
-    # a column is built only when its pivot is taken: 102 XORs among 83,130
-    # pivots here, about 4 MB of traced peak against 28 MB for eager columns
+    # the pivots, closedness and pair rows of the Petersen table agree with
+    # the reference boundary; a column is built only when its pivot is taken:
+    # 102 XORs among 83,130 pivots here, about 4 MB of traced peak against
+    # 28 MB for eager columns
     sc = named_complex("Petersen", 1)
-    sc.simplices.table.boundary()
+    check_against_boundary_reference(sc.simplices, sc.box.h)
+    assert sc.simplices.table.closed
     tracemalloc.start()
     try:
         betti = betti_mod2(sc.simplices)
@@ -643,6 +652,24 @@ def test_betti_of_the_petersen_table_builds_few_columns(named_complex):
         tracemalloc.stop()
     assert betti == (1, 11)
     assert peak < 10_000_000
+
+
+def test_petersen_collapses_stay_within_their_memory(named_complex):
+    # the collapses run on mirror pairs, with rows only for matched faces and
+    # steps kept as ids: about 9 MB of traced peak here, against 16 MB for
+    # full boundaries and mask-pair steps
+    sc = named_complex("Petersen", 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        saturation, phases = shortcut_collapses(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [cert.step_count for cert in phases] == [79920, 1480, 780]
+    assert saturation.step_count == 83020
+    assert peak - start <= 12_000_000
 
 
 @pytest.mark.parametrize("name,k", list(PIPELINE_REPORTS), ids=lambda x: str(x))
@@ -734,7 +761,7 @@ def test_collapse_on_ids_matches_the_mask_reference():
         "matching touches the protected subcomplex",
         "matching pair uses unknown simplices",
         "matching does not cover the simplices outside the subcomplex",
-        "mirror step is not an elementary collapse",
+        "simplices are not closed under the shore swap",
     }
 
 

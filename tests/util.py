@@ -26,7 +26,7 @@ from omegalab.errors import ContractError
 from omegalab.functors import Homomorphism
 from omegalab.graphs import Graph, common_neighborhood, is_joined
 from omegalab.homology import euler_characteristic
-from omegalab.morse import MorseMatching, _check_toggle, _replacement
+from omegalab.morse import MorseMatching, _check_toggle, _pair_rows, _replacement
 
 
 def cli_env() -> dict[str, str]:
@@ -57,6 +57,73 @@ def betti_oracle(simplices) -> tuple[int, ...]:
     return tuple(out)
 
 
+def boundary_reference(table) -> tuple[array, array, bool]:
+    """Every face's codimension-1 faces as ids of ``table``, in flat CSR
+    form, and whether none was missing: those of face i are
+    ``ids[offsets[i]:offsets[i + 1]]``, dropping the face's tokens lowest
+    first, so the first is the face without the lowest token when it is in
+    the table.  A face keeps the codimension-1 faces that are in the table,
+    and a vertex has none."""
+    get = table.index.get
+    offsets = array("i", [0])
+    ids = array("i")
+    closed = True
+    for s in table.masks:
+        if s & (s - 1):
+            for t in bits(s):
+                f = get(s ^ (1 << t))
+                if f is None:
+                    closed = False
+                else:
+                    ids.append(f)
+        offsets.append(len(ids))
+    return offsets, ids, closed
+
+
+def check_against_boundary_reference(simplices, h: int, kept=None) -> tuple[array, array]:
+    """Check a face table's pivots and closedness, and the pair rows of
+    ``simplices`` (``morse._pair_rows`` under the swap of h positions),
+    against ``boundary_reference``; returns the pair rows.  The rows list
+    the pairs whose lesser id is in ``kept``, or every pair when it is None.
+
+    A pivot is the face without the lowest token, the first and greatest
+    reference id when that face is in the table.  ``is_closed`` on the
+    whole table, by a scan, and the pair rows, when the swap pairs every
+    face of the table and ``simplices`` holds each pair's lesser face,
+    record the reference's closedness; else the rows record nothing.  The row of a pair is that of its lesser face
+    read through the pairs: each reference id replaced by its pair's lesser
+    id, and dropped where that is not kept."""
+    table = simplices.table
+    masks, get, n = table.masks, table.index.get, len(table.masks)
+    offsets, ids, closed = boundary_reference(table)
+    pivot = table.pivots()
+    for i, s in enumerate(masks):
+        want = get(s ^ (s & -s), -1)
+        assert pivot[i] == want
+        if s & (s - 1) and want >= 0:
+            row = ids[offsets[i] : offsets[i + 1]]
+            assert row[0] == want == max(row)
+    table.closed = None
+    assert table.faces().is_closed() == closed == table.closed
+    mirror = table.mirrors(h)
+    lesser = array("i", [-1]) * n
+    for i, m in enumerate(mirror):
+        p = i if m < 0 or i < m else m
+        if kept is None or p in kept:
+            lesser[i] = p
+    table.closed = None
+    got_offsets, got_rows = _pair_rows(simplices, mirror, lesser)
+    paired = sum(simplices.flags[i] and mirror[i] > i for i in range(n))
+    assert table.closed == (closed if 2 * paired == n else None)
+    assert len(got_offsets) == n + 1
+    for i in range(n):
+        want = []
+        if simplices.flags[i] and mirror[i] > i:
+            want = [lesser[f] for f in ids[offsets[i] : offsets[i + 1]] if lesser[f] >= 0]
+        assert list(got_rows[got_offsets[i] : got_offsets[i + 1]]) == want
+    return got_offsets, got_rows
+
+
 def betti_mod2_reference(simplices) -> tuple[tuple[int, ...], list[tuple[int, bool]]]:
     """The eager eliminator ``betti_mod2`` used before it built columns only
     on a taken pivot: every column not cleared is built, as an int over rows
@@ -70,7 +137,7 @@ def betti_mod2_reference(simplices) -> tuple[tuple[int, ...], list[tuple[int, bo
         return (), []
     table = faces.table
     masks = table.masks
-    offsets, ids = table.boundary()
+    offsets, ids, _ = boundary_reference(table)
     levels: list[array] = []
     for i in faces.ids():
         d = masks[i].bit_count() - 1
@@ -279,6 +346,8 @@ def collapse_by_masks(k: Z2Complex, simplices, sub, matching: MorseMatching):
     """Reference for ``morse.collapse``: the same checks and the same heap
     loop on masks, with dicts and sets in place of the face table.  Returns
     the steps and the remaining set, or the ContractError message."""
+    if any(k.mirror(s) == s or k.mirror(s) not in simplices for s in simplices):
+        return "simplices are not closed under the shore swap"
     try:
         partner = matching.partner()
     except ContractError as err:
@@ -308,7 +377,7 @@ def collapse_by_masks(k: Z2Complex, simplices, sub, matching: MorseMatching):
         if low not in alive or counts[low] != 1:
             continue
         up, mlow = partner[low], k.mirror(low)
-        if counts[mlow] != 1:
+        if counts[mlow] != 1:  # cannot happen on swap-closed simplices
             return "mirror step is not an elementary collapse"
         for s in (low, up, mlow, k.mirror(up)):
             alive.discard(s)
