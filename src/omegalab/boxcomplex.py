@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .bitset import bits, holders, mask_of
-from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, ParseError, ResourceError
+from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, ParseError, ResourceError, ints, records
 from .functors import Homomorphism
 from .graphs import Graph, common_neighborhood
 
@@ -26,19 +26,21 @@ from .graphs import Graph, common_neighborhood
 class FaceTable:
     """Faces sorted by mask value, with dense ids in that order.
 
-    ``masks[i]`` is face i and ``index`` inverts it.  ``mirrors(h)`` gives
-    every face's mirror as an id, and ``pivots()`` every face's face
+    ``masks[i]`` is face i and ``index`` inverts it; a list of masks is
+    sorted in place and kept, any other iterable copied.  ``mirrors(h)``
+    gives every face's mirror as an id, and ``pivots()`` every face's face
     without its lowest token, both built once.  ``closed`` says whether
     every codimension-1 face of a face is in the table; it is None until a
-    pass over the rows (``Faces.is_closed``, or the pair rows of a
-    collapse on the whole table) records it.  Ids in mask order make a heap
-    of ids pop in mask order.
+    pass over the rows (``Faces.is_closed``, or the pair rows of a collapse
+    on the whole table) records it.  Ids in mask order make a heap of ids
+    pop in mask order.
     """
 
     __slots__ = ("masks", "index", "closed", "_mirrors", "_pivots")
 
     def __init__(self, masks: Iterable[int]):
-        self.masks = sorted(masks)  # distinct masks
+        self.masks = masks if isinstance(masks, list) else list(masks)  # distinct
+        self.masks.sort()  # one pass when sorted already
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.closed: bool | None = None
         self._mirrors: tuple[int, array] | None = None
@@ -166,11 +168,12 @@ class Z2Complex:
 
     ``base[p]`` names the object behind shore position p (a graph vertex id
     for box complexes, an arbitrary id for synthetic complexes); token p is
-    its white copy and token p + h its black copy.  This class is the one
-    place that knows that layout: callers move between shores only through
-    ``mirror``, ``mirror_token``, ``split`` and ``token``.  The complex is
-    its base and its facets: whether the swap is free and what the faces
-    are is read from the facets on each call.
+    its white copy and token p + h its black copy.  Callers move between
+    shores through ``mirror``, ``mirror_token``, ``split`` and ``token``,
+    except ``FaceTable.mirrors`` and ``morse._phase_partners``, which run
+    once per face and inline the same shifts and masks.  The complex is its
+    base and its facets: whether the swap is free and what the faces are is
+    read from the facets on each call.
     """
 
     base: tuple[int, ...]
@@ -391,21 +394,14 @@ def format_complex(k: Z2Complex) -> str:
 def parse_complex(text: str) -> Z2Complex:
     count = None
     tokens: dict[int, tuple[int, str]] = {}
-    facet_rows: list[tuple[list[int], int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
+    facet_rows: list[list[int]] = []
+    for lineno, _, parts in records(text):
         if parts[0] == "c":
             if count is not None:
                 raise ParseError("duplicate c line", lineno)
             if len(parts) != 2:
                 raise ParseError("c line must be 'c <num_vertices>'", lineno)
-            try:
-                count = int(parts[1])
-            except ValueError:
-                raise ParseError("vertex count must be an integer", lineno) from None
+            [count] = ints(parts[1:], "vertex count must be an integer", lineno)
             if count < 0 or count % 2:
                 raise ParseError("vertex count must be even and nonnegative", lineno)
         elif parts[0] == "n":
@@ -413,10 +409,7 @@ def parse_complex(text: str) -> Z2Complex:
                 raise ParseError("n line before c line", lineno)
             if len(parts) != 4 or parts[3] not in ("+", "-"):
                 raise ParseError("n line must be 'n <id> <graph-vertex> <+|->'", lineno)
-            try:
-                tid, gv = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("n line fields must be integers", lineno) from None
+            tid, gv = ints(parts[1:3], "n line fields must be integers", lineno)
             if not 0 <= tid < count:
                 raise ParseError(f"token id {tid} out of range", lineno)
             if tid in tokens:
@@ -425,15 +418,12 @@ def parse_complex(text: str) -> Z2Complex:
         elif parts[0] == "f":
             if count is None:
                 raise ParseError("f line before c line", lineno)
-            try:
-                ids = [int(x) for x in parts[1:]]
-            except ValueError:
-                raise ParseError("facet ids must be integers", lineno) from None
+            ids = ints(parts[1:], "facet ids must be integers", lineno)
             if not ids:
                 raise ParseError("facet line must list at least one token", lineno)
             if any(not 0 <= t < count for t in ids):
                 raise ParseError("facet token id out of range", lineno)
-            facet_rows.append((ids, lineno))
+            facet_rows.append(ids)
         else:
             raise ParseError(f"unknown line kind {parts[0]!r}", lineno)
     if count is None:
@@ -453,7 +443,5 @@ def parse_complex(text: str) -> Z2Complex:
     new_pos = {}
     for tid, (gv, shore) in tokens.items():
         new_pos[tid] = index[gv] if shore == "+" else h + index[gv]
-    facets = []
-    for ids, lineno in facet_rows:
-        facets.append(mask_of(new_pos[t] for t in ids))
+    facets = [mask_of(new_pos[t] for t in ids) for ids in facet_rows]
     return make_complex(tuple(whites), facets)

@@ -15,7 +15,7 @@ import click
 from .approx import build_approx_map, carrier_check, diameter_bound, image_diameters_sq
 from .bitset import bits
 from .boxcomplex import build_box, format_complex, parse_complex
-from .errors import DEFAULT_BUDGETS, Budgets, OmegalabError, ParseError, ResourceError
+from .errors import DEFAULT_BUDGETS, Budgets, OmegalabError, ParseError, ResourceError, records
 from .functors import omega, omega_prime, subdivide, walk_power
 from .graphs import Graph, format_graph, max_degree, parse_graph
 from .homology import betti_mod2, euler_characteristic
@@ -237,16 +237,13 @@ def verify(suite, outfile, **budgets):
 
 
 def _detect_and_parse(text: str):
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("p "):
-            return "graph", parse_graph(text)
-        if line.startswith("c "):
-            return "complex", parse_complex(text)
-        break
-    raise ParseError("file is neither a graph (p line) nor a complex (c line)", 1)
+    # the kind is the first field of the first record; an empty file has none
+    lineno, _, fields = next(records(text), (1, "", [None]))
+    if fields[0] == "p":
+        return "graph", parse_graph(text)
+    if fields[0] == "c":
+        return "complex", parse_complex(text)
+    raise ParseError("file is neither a graph (p line) nor a complex (c line)", lineno)
 
 
 @cli.command()

@@ -1,6 +1,8 @@
-"""Exception taxonomy shared by all omegalab modules, and the budgets whose
-exhaustion raises ``ResourceError``."""
+"""Exception taxonomy shared by all omegalab modules, the budgets whose
+exhaustion raises ``ResourceError``, and the line reader of every input
+file format (``records`` and ``ints``), whose ``ParseError`` names a line."""
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 
@@ -59,3 +61,18 @@ class ParseError(OmegalabError, ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def records(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """Each non-blank line of ``text``: (line number, stripped line, fields)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.strip():
+            yield lineno, line, line.split()
+
+
+def ints(words: list[str], message: str, line: int) -> list[int]:
+    """The fields ``words`` as ints, or ``ParseError(message, line)``."""
+    try:
+        return [int(w) for w in words]
+    except ValueError:
+        raise ParseError(message, line) from None

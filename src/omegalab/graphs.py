@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits
-from .errors import DEFAULT_BUDGETS, ParameterError, ParseError, ResourceError
+from .errors import DEFAULT_BUDGETS, ParameterError, ParseError, ResourceError, ints, records
 
 # the most adjacency row bits (1 GiB) a graph built from an edge list may take
 ROW_BIT_BUDGET = 2**33
@@ -279,21 +279,15 @@ def parse_graph(text: str) -> Graph:
     m = None
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        kind = line.split(maxsplit=1)[0]
+    used: set[str] = set()  # the labels given so far
+    for lineno, line, parts in records(text):
+        kind = parts[0]
         if kind == "p":
             if n is not None:
                 raise ParseError("duplicate p line", lineno)
-            parts = line.split()
             if len(parts) != 3:
                 raise ParseError("p line must be 'p <n> <m>'", lineno)
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("p line fields must be integers", lineno) from None
+            n, m = ints(parts[1:], "p line fields must be integers", lineno)
             if n < 0 or m < 0:
                 raise ParseError("p line fields must be nonnegative", lineno)
             if n > (budget := DEFAULT_BUDGETS.vertex_budget):
@@ -301,13 +295,9 @@ def parse_graph(text: str) -> Graph:
         elif kind == "e":
             if n is None:
                 raise ParseError("e line before p line", lineno)
-            parts = line.split()
             if len(parts) != 3:
                 raise ParseError("e line must be 'e <u> <v>'", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("e line fields must be integers", lineno) from None
+            u, v = ints(parts[1:], "e line fields must be integers", lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"edge ({u}, {v}) out of range", lineno)
             edges.append((u, v))
@@ -317,15 +307,15 @@ def parse_graph(text: str) -> Graph:
             parts = line.split(maxsplit=2)
             if len(parts) != 3:
                 raise ParseError("l line must be 'l <v> <label>'", lineno)
-            try:
-                v = int(parts[1])
-            except ValueError:
-                raise ParseError("l line vertex must be an integer", lineno) from None
+            [v] = ints(parts[1:2], "l line vertex must be an integer", lineno)
             if not 0 <= v < n:
                 raise ParseError(f"label vertex {v} out of range", lineno)
             if v in labels:
                 raise ParseError(f"duplicate label for vertex {v}", lineno)
-            labels[v] = parts[2]
+            if (label := parts[2]) in used:
+                raise ParseError(f"label {label!r} already used", lineno)
+            used.add(label)
+            labels[v] = label
         else:
             raise ParseError(f"unknown line kind {kind!r}", lineno)
     if n is None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from operator import or_
 
 from .bitset import Folded, bits, mask_of
-from .errors import DEFAULT_BUDGETS, Budgets, ParseError, PreconditionError, ResourceError
+from .errors import DEFAULT_BUDGETS, Budgets, ParseError, PreconditionError, ResourceError, ints, records
 from .functors import Homomorphism
 from .graphs import Graph, clique
 
@@ -142,17 +142,10 @@ def format_witness(hom: Homomorphism) -> str:
 
 def parse_witness(text: str, source: Graph, target: Graph) -> Homomorphism:
     assigned: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, _, parts in records(text):
         if len(parts) != 3 or parts[0] != "m":
             raise ParseError("witness line must be 'm <u> <v>'", lineno)
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError("witness fields must be integers", lineno) from None
+        u, v = ints(parts[1:], "witness fields must be integers", lineno)
         if u in assigned:
             raise ParseError(f"duplicate assignment for vertex {u}", lineno)
         assigned[u] = v

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -12,14 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omegalab.morse
-from omegalab.boxcomplex import build_box, format_complex
-from omegalab.cli import cli, main
-from omegalab.errors import DEFAULT_BUDGETS, Budgets, ParameterError
+from omegalab.boxcomplex import build_box, format_complex, parse_complex
+from omegalab.cli import _detect_and_parse, cli, main
+from omegalab.errors import DEFAULT_BUDGETS, Budgets, ParameterError, ParseError
+from omegalab.functors import Homomorphism
 from omegalab.graphs import clique, cycle_graph, format_graph, parse_graph, petersen
+from omegalab.homsearch import format_witness, parse_witness
 from omegalab.morse import pipeline
 from omegalab.verify import exit_code, run_suite
 
-from util import cli_env
+from util import cli_env, random_free_complex, random_graph
 
 
 def run_cli(argv, capsys):
@@ -396,6 +399,70 @@ def test_parse_error_exits_one_with_position(tmp_path, capsys):
     assert code == 1 and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\n\nx 1\n", "line 3: file is neither a graph (p line) nor a complex (c line)"),
+        ("p 2 1\ne 0 1\nl 0 x\nl 1 x\n", "line 4: label 'x' already used"),
+    ],
+    ids=["junk-after-blank-lines", "repeated-label"],
+)
+def test_show_names_the_line_at_fault(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code = 0
+    try:
+        main(["show", "-i", str(bad)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1 and capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def _respaced(rng, lines):
+    """``lines`` behind up to three blank lines, each with a tab or a run of
+    spaces around and between its fields (a label keeps its own spaces)."""
+    gap = ["\t", "  ", " \t "]
+    out = [rng.choice(["", " ", "\t"]) for _ in range(rng.randint(0, 3))]
+    for line in lines:
+        fields = line.split(" ", 2) if line.startswith("l ") else line.split(" ")
+        out.append(rng.choice(["", "\t"]) + "".join(f + rng.choice(gap) for f in fields))
+    return out
+
+
+def test_whitespace_variants_parse_alike_everywhere():
+    # the parsers and the kind detection behind show and convert read one
+    # record per non-blank line and split fields on any run of whitespace
+    def detected(text):
+        return _detect_and_parse(text)[1]
+
+    rng = random.Random(2303)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 7), 0.4)
+        labelled = g.with_labels([f"v {u}" for u in range(g.n)])
+        w = Homomorphism(g, clique(g.n), tuple(rng.sample(range(g.n), g.n)))
+        cases = [
+            (labelled, format_graph, [parse_graph, detected]),
+            (random_graph(rng, rng.randint(1, 7), 0.4, 0.2), format_graph, [parse_graph, detected]),
+            (random_free_complex(rng, 5), format_complex, [parse_complex, detected]),
+            (w, format_witness, [lambda t: parse_witness(t, w.source, w.target)]),
+        ]
+        for obj, fmt, parsers in cases:
+            lines = fmt(obj).splitlines()
+            variant = "\r\n".join(_respaced(rng, lines)) + "\r\n"
+            for read in parsers:
+                assert fmt(read(variant)) == fmt(obj), variant
+            # field 1 of one record is not an integer: refused at its line
+            r = rng.randrange(len(lines))
+            fields = lines[r].split(" ")
+            fields[1] = "x"
+            bad = _respaced(rng, lines[:r] + [" ".join(fields)] + lines[r + 1 :])
+            lineno = [n for n, line in enumerate(bad, 1) if line.strip()][r]
+            for read in parsers:
+                with pytest.raises(ParseError) as err:
+                    read("\r\n".join(bad))
+                assert err.value.line == lineno, bad
+
+
 @pytest.mark.parametrize("case", ["missing-output-dir", "input-is-a-directory"])
 def test_file_errors_exit_one_without_traceback(tmp_path, graph_files, capsys, case):
     if case == "missing-output-dir":
@@ -542,7 +609,8 @@ def _input_text(draw):
             lines.append("f " + " ".join(_sometimes(draw, str(t), _WORD) for t in sorted(ids)))
     if draw(st.integers(0, 4)) == 0:
         lines.insert(draw(st.integers(0, len(lines))), " ".join(draw(st.lists(_WORD, max_size=4))))
-    return "\n".join(lines) + "\n"
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    return "\n".join(line.replace(" ", sep) for line in lines) + "\n"
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
