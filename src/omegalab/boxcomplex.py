@@ -275,14 +275,15 @@ class Z2Complex:
 
 
 def make_complex(base, facets) -> Z2Complex:
-    """Build a Z2Complex from arbitrary facet masks: dedupe, maximalize,
-    close under the mirror, and sort canonically."""
+    """Build a Z2Complex from arbitrary facet masks: refuse tokens beyond the
+    table before mirroring folds them into range, then dedupe, close under
+    the mirror, maximalize (the result stays mirror-closed) and sort."""
     out = Z2Complex(tuple(base), ())
+    facets = list(facets)
+    if any(f >> out.token_count for f in facets):
+        raise ParameterError("facet uses tokens beyond the vertex table")
     closed = {m for f in facets if f for m in (f, out.mirror(f))}
-    maximal = _maximal(list(closed))
-    maximal.sort(key=lambda m: tuple(bits(m)))
-    out.facets = tuple(maximal)
-    out.validate()
+    out.facets = tuple(sorted(_maximal(list(closed)), key=lambda m: tuple(bits(m))))
     return out
 
 

@@ -4,6 +4,8 @@
 joins vertices connected by a walk of length exactly k, and ``omega`` is
 the right adjoint to ``walk_power``: its vertices are tuples of nested
 neighborhood sets.  All three take the odd index k as their parameter.
+The walk power and the adjunction witness into ``omega`` read the walks of
+each exact length from one recurrence, ``graphs.walk_rows``.
 
 A result holds only what defines it.  ``subdivide`` returns a
 ``Subdivision``, whose layout is arithmetic: vertices 0..n-1 are the base
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
-from .bitset import bits, holders, mask_of, union_of
+from .bitset import bits, holders, mask_of
 from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, PreconditionError, ResourceError
-from .graphs import Graph, common_neighborhood
+from .graphs import Graph, common_neighborhood, walk_rows
 
 OmegaTuple = tuple[int, ...]
 
@@ -161,19 +164,15 @@ def subdivision_path(res: Subdivision, a: int, b: int) -> list[int]:
 # -- walk power ----------------------------------------------------------------
 
 def walk_power(g: Graph, k: int) -> Graph:
-    """Same vertices; u ~ v iff some walk of length exactly k joins them."""
+    """Same vertices; u ~ v iff some walk of length exactly k joins them: the
+    rows of ``walk_rows`` at length k, or past their last, the last odd ones."""
     _require_odd(k)
-    # rows of walks of lengths j-2, j-1, j; for j >= 1 the rows only grow from
-    # j to j+2 (step back and forth), so they settle into period 2
-    older, before, rows = None, None, g.adj
-    j = 1
-    while j < k and rows != older:
-        older, before = before, rows
-        rows = tuple(union_of(before, g.adj[v]) for v in range(g.n))
-        j += 1
-    if (k - j) % 2:
-        rows = before
-    return Graph(g.n, rows)
+    for j, rows in enumerate(walk_rows(g), 1):
+        if j % 2:
+            odd = rows
+        if j == k:
+            break
+    return Graph(g.n, odd)
 
 
 # -- right adjoint -------------------------------------------------------------
@@ -341,24 +340,20 @@ def adjoint_witness_to_omega(
 ) -> Homomorphism:
     """Turn f : walk_power(g, k) -> H into a witness g -> omega(H, k).
 
-    v maps to the tuple of image sets of the exact-distance-i walk
-    neighborhoods of v, i = 0..l.  Isolated vertices of g are unconstrained
-    and go to vertex 0 of the target.
+    v maps to the tuple of image sets of its rows in ``walk_rows`` at the
+    lengths i = 0..l, length 0 being v itself.  Isolated vertices of g are
+    unconstrained and go to vertex 0 of the target.
     """
     if f.source.adj != walk_power(g, omega_h.k).adj:
         raise ContractError("witness source is not the expected walk power")
     depth = (omega_h.k - 1) // 2
-    mapping = []
+    walks = [tuple(1 << v for v in range(g.n)), *islice(walk_rows(g), depth)]
+    while len(walks) <= depth:  # past the last rows, period 2
+        walks.append(walks[-2])
+    mapping = [0] * g.n
     for v in range(g.n):
-        if g.adj[v] == 0:
-            mapping.append(0)
-            continue
-        reach = 1 << v
-        comps = []
-        for _ in range(depth + 1):
-            comps.append(mask_of(f(u) for u in bits(reach)))
-            reach = union_of(g.adj, reach)
-        mapping.append(omega_h.index_of(tuple(comps)))
+        if g.adj[v]:
+            mapping[v] = omega_h.index_of(tuple(mask_of(f(u) for u in bits(w[v])) for w in walks))
     return Homomorphism(g, omega_h.graph, tuple(mapping))
 
 

@@ -3,13 +3,16 @@
 Adjacency is stored as one int bitmask per vertex, which keeps the set
 primitives (common neighborhood, join tests) word-parallel; those two
 primitives dominate the cost of every functor construction downstream.
+The walks of each exact length come from one recurrence, ``walk_rows``: the
+odd-girth check, the walk power and the adjunction witness all read it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .bitset import bits
+from .bitset import bits, union_of
 from .errors import DEFAULT_BUDGETS, ParameterError, ParseError, ResourceError, ints, records
 
 # the most adjacency row bits (1 GiB) a graph built from an edge list may take
@@ -220,37 +223,26 @@ def is_square_free(g: Graph) -> bool:
     return True
 
 
-def min_odd_closed_walk(g: Graph) -> int | None:
-    """Length of the shortest odd closed walk, or None when bipartite.
+def walk_rows(g: Graph) -> Iterator[tuple[int, ...]]:
+    """The adjacency rows of the walks of length exactly j = 1, 2, ...: row
+    v holds the ends of those walks from v.  For j >= 1 the rows only grow
+    from j to j+2 (step back and forth), so they settle into period 2.  They
+    end just before the first rows equal to those two lengths shorter, and
+    the rows of any greater length are the last yielded of the same parity."""
+    older, before, rows = None, None, g.adj
+    while rows != older:
+        yield rows
+        older, before, rows = before, rows, tuple(union_of(rows, a) for a in g.adj)
 
-    Parity BFS on the double cover: distances to (v, odd) from (v, even).
-    A loop gives 1.
-    """
-    best = None
-    for start in range(g.n):
-        dist_even = [-1] * g.n
-        dist_odd = [-1] * g.n
-        dist_even[start] = 0
-        frontier = [(start, 0)]
-        d = 0
-        while frontier:
-            d += 1
-            if best is not None and d >= best:
-                break
-            nxt = []
-            for v, parity in frontier:
-                row = g.adj[v]
-                tgt = dist_odd if parity == 0 else dist_even
-                for u in bits(row):
-                    if tgt[u] < 0:
-                        tgt[u] = d
-                        nxt.append((u, 1 - parity))
-            frontier = nxt
-            if dist_odd[start] >= 0:
-                break
-        if dist_odd[start] >= 0 and (best is None or dist_odd[start] < best):
-            best = dist_odd[start]
-    return best
+
+def min_odd_closed_walk(g: Graph) -> int | None:
+    """Length of the shortest odd closed walk, or None when bipartite: the
+    first odd length at which some vertex's row in ``walk_rows`` holds the
+    vertex itself.  A loop gives 1."""
+    for j, rows in enumerate(walk_rows(g), 1):
+        if j % 2 and any(row >> v & 1 for v, row in enumerate(rows)):
+            return j
+    return None
 
 
 def max_degree(g: Graph) -> int:

@@ -20,7 +20,7 @@ from .approx import (
     carrier_check,
     diameter_bound,
     equivariant,
-    max_facet_diameter_sq,
+    image_diameters_sq,
 )
 from .boxcomplex import build_box
 from .errors import DEFAULT_BUDGETS, Budgets, OmegalabError, ResourceError
@@ -282,7 +282,7 @@ def _suite_approx(r: _Runner, budgets: Budgets) -> None:
         bound_sq = diameter_bound(g, k) ** 2
 
         def within(amap=amap, bound_sq=bound_sq):
-            return max_facet_diameter_sq(amap()) < bound_sq
+            return all(d < bound_sq for d in image_diameters_sq(amap(), amap().source.facets))
 
         r.run(
             f"approx/{name}-k{k}/bound",

@@ -191,6 +191,31 @@ def test_validate_refuses_nested_or_repeated_facets():
             Z2Complex((0, 1), facets).validate()
 
 
+def test_validate_refuses_stray_tokens_and_asymmetric_facets():
+    with pytest.raises(ParameterError, match="beyond the vertex table"):
+        Z2Complex((0, 1), (0b1001, 0b0110, 1 << 4)).validate()
+    with pytest.raises(ParameterError, match="not swap-symmetric"):
+        Z2Complex((0, 1), (0b1001,)).validate()
+
+
+def test_make_complex_refuses_stray_tokens_before_mirroring():
+    # on two shores of 2, the mirror of token 5 is token 3, in range
+    with pytest.raises(ParameterError, match="beyond the vertex table"):
+        make_complex((0, 1), [0b1001, 1 << 5])
+
+
+def test_make_complex_is_valid_without_validating():
+    rng = random.Random(2403)
+    for _ in range(200):
+        h = rng.randint(1, 5)
+        facets = [rng.randrange(1 << 2 * h) for _ in range(rng.randint(0, 8))]
+        k = make_complex(range(h), facets)
+        k.validate()
+        assert k.facets == tuple(sorted(k.facets, key=lambda m: tuple(bits(m))))
+        closed = {m for f in facets if f for m in (f, k.mirror(f))}
+        assert set(k.facets) == {m for m in closed if not any(m != o and m & ~o == 0 for o in closed)}
+
+
 def test_parse_complex_is_linear_in_tokens():
     h = 20000
     lines = [f"c {2 * h}"] + [f"n {t} {t // 2} {'+-'[t % 2]}" for t in range(2 * h)]

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omegalab.morse
+from omegalab import verify
 from omegalab.boxcomplex import build_box, format_complex, parse_complex
 from omegalab.cli import _detect_and_parse, cli, main
-from omegalab.errors import DEFAULT_BUDGETS, Budgets, ParameterError, ParseError
+from omegalab.errors import DEFAULT_BUDGETS, Budgets, ContractError, ParameterError, ParseError, ResourceError
 from omegalab.functors import Homomorphism
 from omegalab.graphs import clique, cycle_graph, format_graph, parse_graph, petersen
 from omegalab.homsearch import format_witness, parse_witness
@@ -249,14 +250,14 @@ def test_approx_report(tmp_path, graph_files, capsys):
     )
 
 
-def test_approx_edgeless_graph_fails_cleanly(tmp_path, capsys):
-    # no facets: the worst diameter is 0, which is not below the zero bound
+def test_approx_edgeless_graph_passes_vacuously(tmp_path, capsys):
+    # no facets: every facet is within the zero bound, vacuously
     edgeless = tmp_path / "e.graph"
     edgeless.write_text("p 2 0\n")
     rep = tmp_path / "e.json"
     code, text = run_cli(["approx", "-i", str(edgeless), "-k", "1", "--report", str(rep)], capsys)
-    assert code == 1
-    assert text == "max diameter^2 0 vs bound^2 0: VIOLATED; carrier: ok\n"
+    assert code == 0
+    assert text == "max diameter^2 0 vs bound^2 0: ok; carrier: ok\n"
     assert rep.read_text() == (
         "{\n"
         '  "bound": "0",\n'
@@ -270,7 +271,7 @@ def test_approx_edgeless_graph_fails_cleanly(tmp_path, capsys):
         "  },\n"
         '  "half_index": 1,\n'
         '  "max_diameter_sq": "0",\n'
-        '  "within_bound": false\n'
+        '  "within_bound": true\n'
         "}\n"
     )
 
@@ -284,6 +285,29 @@ def test_verify_exit_codes(tmp_path, capsys):
     # the vertex budget bounds the adjoint the approximation map is built on
     code, text = run_cli(["verify", "approx", "--vertex-budget", "1"], capsys)
     assert code == 2 and "incomplete" in text
+
+
+def test_a_check_that_raises_fails_and_a_budget_stop_is_incomplete(monkeypatch):
+    def raising(exc):
+        def check():
+            raise exc
+
+        return lambda r, budgets: r.run("probe", "a claim", "no input", True, check)
+
+    monkeypatch.setitem(verify._SUITE_FNS, "betti", raising(ContractError("edge (0, 1) lost")))
+    report = run_suite("betti")
+    assert [(c["status"], c["actual"]) for c in report["checks"]] == [
+        ("fail", "ContractError: edge (0, 1) lost")
+    ]
+    assert not report["passed"] and not report["incomplete"] and exit_code(report) == 1
+    monkeypatch.setitem(verify._SUITE_FNS, "betti", raising(ResourceError("node budget 1 exhausted")))
+    report = run_suite("betti")
+    assert [(c["status"], c["actual"]) for c in report["checks"]] == [
+        ("resource", "resource error: node budget 1 exhausted")
+    ]
+    assert not report["passed"] and report["incomplete"] and exit_code(report) == 2
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite("nope")
 
 
 def test_a_starved_vertex_budget_marks_checks_and_reports_them_all():
@@ -416,6 +440,77 @@ def test_show_names_the_line_at_fault(tmp_path, capsys, text, message):
     except SystemExit as exc:
         code = exc.code
     assert code == 1 and capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def _refused(tmp_path, capsys, text, reader):
+    """Exit code and stderr of ``show`` on ``text``, or of ``reader`` (a
+    command that reads only that kind) when the file does not open with its
+    kind line and ``show`` would refuse it on that alone."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    command = "show" if text.startswith(("p", "c")) else reader
+    code = 0
+    try:
+        main([command, "-i", str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+GRAPH_REFUSALS = [
+    ("p 2 0\np 2 0\n", "line 2: duplicate p line"),
+    ("p 2\n", "line 1: p line must be 'p <n> <m>'"),
+    ("p x 0\n", "line 1: p line fields must be integers"),
+    ("p -1 0\n", "line 1: p line fields must be nonnegative"),
+    (f"p {(n := DEFAULT_BUDGETS.vertex_budget) + 1} 0\n", f"line 1: {n + 1} vertices exceed the vertex budget {n}"),
+    ("e 0 1\n", "line 1: e line before p line"),
+    ("p 2 1\ne 0\n", "line 2: e line must be 'e <u> <v>'"),
+    ("p 2 1\ne 0 y\n", "line 2: e line fields must be integers"),
+    ("p 2 1\ne 0 2\n", "line 2: edge (0, 2) out of range"),
+    ("l 0 a\n", "line 1: l line before p line"),
+    ("p 2 0\nl 0\n", "line 2: l line must be 'l <v> <label>'"),
+    ("p 2 0\nl z a\n", "line 2: l line vertex must be an integer"),
+    ("p 2 0\nl 2 a\n", "line 2: label vertex 2 out of range"),
+    ("p 2 0\nl 0 a\nl 0 b\n", "line 3: duplicate label for vertex 0"),
+    ("p 2 0\nl 0 a\nl 1 a\n", "line 3: label 'a' already used"),
+    ("p 2 0\nq 1\n", "line 2: unknown line kind 'q'"),
+    ("", "missing p line"),
+    ("p 2 1\n", "p line announced 1 edges, found 0"),
+    ("p 2 0\nl 0 a\n", "labels must be total when present"),
+]
+
+COMPLEX_REFUSALS = [
+    ("c 2\nc 2\n", "line 2: duplicate c line"),
+    ("c 2 2\n", "line 1: c line must be 'c <num_vertices>'"),
+    ("c x\n", "line 1: vertex count must be an integer"),
+    ("c 3\n", "line 1: vertex count must be even and nonnegative"),
+    ("n 0 0 +\n", "line 1: n line before c line"),
+    ("c 2\nn 0 0\n", "line 2: n line must be 'n <id> <graph-vertex> <+|->'"),
+    ("c 2\nn 0 x +\n", "line 2: n line fields must be integers"),
+    ("c 2\nn 2 0 +\n", "line 2: token id 2 out of range"),
+    ("c 2\nn 0 0 +\nn 0 0 -\n", "line 3: duplicate token id 0"),
+    ("f 0\n", "line 1: f line before c line"),
+    ("c 2\nf x\n", "line 2: facet ids must be integers"),
+    ("c 2\nf\n", "line 2: facet line must list at least one token"),
+    ("c 2\nf 0 2\n", "line 2: facet token id out of range"),
+    ("c 2\nx\n", "line 2: unknown line kind 'x'"),
+    ("", "missing c line"),
+    ("c 2\nn 0 0 +\n", "expected 2 n lines, found 1"),
+    ("c 2\nn 0 0 +\nn 1 1 -\n", "tokens do not pair into an involution"),
+    ("c 4\nn 0 0 +\nn 1 0 +\nn 2 0 -\nn 3 0 -\n", "duplicate (graph-vertex, shore) token"),
+]
+
+
+@pytest.mark.parametrize("text, message", GRAPH_REFUSALS, ids=[m for _, m in GRAPH_REFUSALS])
+def test_every_graph_refusal_is_a_parse_error(tmp_path, capsys, text, message):
+    code, err = _refused(tmp_path, capsys, text, "chromatic")
+    assert (code, err) == (1, f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", COMPLEX_REFUSALS, ids=[m for _, m in COMPLEX_REFUSALS])
+def test_every_complex_refusal_is_a_parse_error(tmp_path, capsys, text, message):
+    code, err = _refused(tmp_path, capsys, text, "homology")
+    assert (code, err) == (1, f"parse error: {message}\n")
 
 
 def _respaced(rng, lines):

@@ -420,6 +420,26 @@ def test_adjoint_witnesses_roundtrip():
     assert back.source.n == g.n and back.target.n == h.n
 
 
+def test_adjoint_witness_reads_the_walks_of_each_length():
+    # past the length where the walk rows settle, they repeat with period 2:
+    # K2 settles after length 2, short of the depth 4 of index 9
+    rng = random.Random(2404)
+    cases = [clique(2), path_graph(5), cycle_graph(6), Graph.from_edges(4, [(0, 1), (1, 2)])]
+    cases += [random_graph(rng, rng.randint(2, 7), 0.4) for _ in range(20)]
+    for g in cases:
+        for k in (3, 7, 9):
+            oh, depth = omega(clique(3), k), (k - 1) // 2
+            f = hom_exists(walk_power(g, k), clique(3))
+            if f is None:
+                continue
+            w = adjoint_witness_to_omega(g, f, oh)
+            ends = [{(v, v) for v in range(g.n)}] + [walks_of_length(g, i) for i in range(1, depth + 1)]
+            for v in range(g.n):
+                if g.adj[v]:
+                    comps = tuple(mask_of(f(u) for a, u in e if a == v) for e in ends)
+                    assert oh.tuples[w(v)] == comps
+
+
 def test_adjoint_witness_identity_at_index_one():
     g, h = cycle_graph(5), clique(3)
     oh = omega(h, 1)

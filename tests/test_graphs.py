@@ -2,11 +2,13 @@ import functools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from omegalab.bitset import mask_of
 from omegalab import graphs
 from omegalab.errors import ParameterError, ParseError, ResourceError
+from omegalab.functors import omega
 from omegalab.graphs import (
     Graph,
     clique,
@@ -22,9 +24,10 @@ from omegalab.graphs import (
     path_graph,
     petersen,
     tensor_product,
+    walk_rows,
 )
 
-from util import is_isomorphic, random_graph, same_adjacency
+from util import is_isomorphic, min_odd_closed_walk_reference, random_graph, same_adjacency
 
 
 def test_family_examples():
@@ -156,6 +159,39 @@ def test_min_odd_closed_walk():
     assert min_odd_closed_walk(path_graph(6)) is None
     assert min_odd_closed_walk(Graph.from_edges(2, [(0, 0), (0, 1)])) == 1
     assert min_odd_closed_walk(petersen()) == 5
+
+
+def test_min_odd_closed_walk_matches_the_parity_bfs():
+    rng = random.Random(2401)
+    cases = [
+        random_graph(rng, rng.randint(1, 10), rng.uniform(0.05, 0.6), rng.choice([0.0, 0.1]))
+        for _ in range(300)
+    ]
+    adjoints = [omega(clique(3), 3), omega(clique(4), 3), omega(clique(4), 5), omega(petersen(), 3)]
+    cases += [a.graph for a in adjoints]
+    for g in cases:
+        assert min_odd_closed_walk(g) == min_odd_closed_walk_reference(g)
+    assert [min_odd_closed_walk(g) for g in cases[-4:]] == [9, 7, 11, 15]
+
+
+def test_walk_rows_are_the_walks_of_each_length_until_they_repeat():
+    # row v at length j is row v of the j-th boolean power of the adjacency
+    # matrix; the rows stop just before the first that repeats those two
+    # before it (from length 3 on), and repeat with period 2 from there
+    rng = random.Random(2402)
+    cases = [Graph(0, ()), Graph.from_edges(3, [])]
+    cases += [random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.6), 0.1) for _ in range(100)]
+    for g in cases:
+        adj = np.array([g.adj[u] >> v & 1 for u in range(g.n) for v in range(g.n)], dtype=np.int64)
+        adj = adj.reshape(g.n, g.n)
+        rows = list(walk_rows(g))
+        power, by_length = np.eye(g.n, dtype=np.int64), [None]
+        for _ in range(len(rows) + 4):
+            power = np.minimum(power @ adj, 1)
+            by_length.append(tuple(mask_of(np.flatnonzero(r).tolist()) for r in power))
+        assert rows == by_length[1 : len(rows) + 1]
+        assert all(by_length[j] != by_length[j - 2] for j in range(3, len(rows) + 1))
+        assert all(by_length[j] == by_length[j - 2] for j in range(len(rows) + 1, len(by_length)))
 
 
 def test_max_degree():

@@ -393,6 +393,36 @@ def collapse_by_masks(k: Z2Complex, simplices, sub, matching: MorseMatching):
     return steps, alive
 
 
+def min_odd_closed_walk_reference(g: Graph) -> int | None:
+    """Length of the shortest odd closed walk, or None when bipartite, by a
+    parity BFS on the double cover from each start: the distance from
+    (v, even) to (v, odd).  A loop gives 1."""
+    best = None
+    for start in range(g.n):
+        dist_even = [-1] * g.n
+        dist_odd = [-1] * g.n
+        dist_even[start] = 0
+        frontier = [(start, 0)]
+        d = 0
+        while frontier:
+            d += 1
+            if best is not None and d >= best:
+                break
+            nxt = []
+            for v, parity in frontier:
+                tgt = dist_odd if parity == 0 else dist_even
+                for u in bits(g.adj[v]):
+                    if tgt[u] < 0:
+                        tgt[u] = d
+                        nxt.append((u, 1 - parity))
+            frontier = nxt
+            if dist_odd[start] >= 0:
+                break
+        if dist_odd[start] >= 0 and (best is None or dist_odd[start] < best):
+            best = dist_odd[start]
+    return best
+
+
 def same_adjacency(g: Graph, h: Graph) -> bool:
     return g.n == h.n and g.adj == h.adj
 
