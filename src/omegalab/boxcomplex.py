@@ -29,20 +29,20 @@ class FaceTable:
     ``masks[i]`` is face i and ``index`` inverts it; a list of masks is
     sorted in place and kept, any other iterable copied.  ``mirrors(h)``
     gives every face's mirror as an id, and ``pivots()`` every face's face
-    without its lowest token, both built once.  ``closed`` says whether
-    every codimension-1 face of a face is in the table; it is None until a
-    pass over the rows (``Faces.is_closed``, or the pair rows of a collapse
-    on the whole table) records it.  Ids in mask order make a heap of ids
-    pop in mask order.
+    without its lowest token, both built once.  ``closed`` is fixed when
+    the table is made: True only when its maker knows that every
+    codimension-1 face of a face is in the table, as ``Z2Complex.simplices``
+    does; False means unknown, and ``Faces.is_closed`` then scans.  Ids in
+    mask order make a heap of ids pop in mask order.
     """
 
     __slots__ = ("masks", "index", "closed", "_mirrors", "_pivots")
 
-    def __init__(self, masks: Iterable[int]):
+    def __init__(self, masks: Iterable[int], closed: bool = False):
         self.masks = masks if isinstance(masks, list) else list(masks)  # distinct
         self.masks.sort()  # one pass when sorted already
         self.index = {m: i for i, m in enumerate(self.masks)}
-        self.closed: bool | None = None
+        self.closed = closed
         self._mirrors: tuple[int, array] | None = None
         self._pivots: array | None = None
 
@@ -141,25 +141,19 @@ class Faces(Set):
     __hash__ = Set._hash
 
     def is_closed(self) -> bool:
-        """True iff every codimension-1 face of a member is a member.  For
-        the whole table, reads ``table.closed`` when a pass has recorded
-        it; otherwise scans the members, and records it for the whole
-        table."""
-        table = self.table
-        whole = self._len == len(self.flags)
-        if whole and table.closed is not None:
-            return table.closed
-        flags, get = self.flags, table.index.get
+        """True iff every codimension-1 face of a member is a member: at
+        once for the whole of a table made closed, else by a scan of the
+        members."""
+        if self.table.closed and self._len == len(self.flags):
+            return True
+        flags, get = self.flags, self.table.index.get
         # a vertex's only facet is empty, and so no face
-        closed = all(
+        return all(
             (f := get(s ^ 1 << t)) is not None and flags[f] == 1
             for s in self
             if s & (s - 1)
             for t in bits(s)
         )
-        if whole:
-            table.closed = closed
-        return closed
 
 
 @dataclass
@@ -220,14 +214,15 @@ class Z2Complex:
 
     def simplices(self, budget: int = DEFAULT_BUDGETS.simplex_budget) -> Faces:
         """All faces of all facets, materialized into a new face table on
-        every call.
+        every call, made closed.
 
         Each facet's faces are walked as a subset tree: a node is a face and
         the tokens it may still drop, a child drops one of them and keeps
-        only those below it, so every subset of the facet is reached once.
-        The faces seen are closed downward between facets, so a child seen
-        before came from an earlier facet with all its subfaces, and its
-        subtree is skipped.
+        only those below it, so every nonempty subset of the facet is
+        reached once.  The faces seen are closed downward between facets,
+        so a child seen before came from an earlier facet with all its
+        subfaces, and its subtree is skipped.  Every codimension-1 face of
+        a face is thus in the table.
 
         The budget bounds the distinct faces.  A facet of t tokens has
         2^t - 1 faces, so one facet over the budget is refused before any
@@ -259,7 +254,7 @@ class Z2Complex:
                     )
         masks = sorted(seen)
         seen.clear()  # before the table builds its index
-        return FaceTable(masks).faces()
+        return FaceTable(masks, closed=True).faces()
 
     def validate(self) -> None:
         h = self.h
@@ -305,7 +300,11 @@ def _maximal(masks) -> list[int]:
 def build_box(g: Graph) -> Z2Complex:
     """Box complex: isolated vertices dropped, facets are the closed pairs
     (A, CN(A)) with both sides nonempty, white copy of A with black copy of
-    CN(A).  The swap action is free exactly when g has no loops."""
+    CN(A).  The swap action is free exactly when g has no loops.
+
+    The facets need no ``validate``: A within B forces CN(B) within CN(A),
+    so of two nested facets the shores are equal, and (CN(A), A) is the
+    facet of the closed set CN(A), so the list is swap-symmetric."""
     vlist = [v for v in range(g.n) if g.adj[v]]
     pos = {v: i for i, v in enumerate(vlist)}
     h = len(vlist)
@@ -317,9 +316,7 @@ def build_box(g: Graph) -> Z2Complex:
             black = mask_of(h + pos[v] for v in bits(cn))
             facets.append(white | black)
     facets.sort(key=lambda m: tuple(bits(m)))
-    out = Z2Complex(tuple(vlist), tuple(facets))
-    out.validate()
-    return out
+    return Z2Complex(tuple(vlist), tuple(facets))
 
 
 def _closed_sets(g: Graph) -> set[int]:

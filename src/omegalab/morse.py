@@ -60,6 +60,7 @@ from array import array
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from itertools import compress
 from operator import and_, gt, or_
 
@@ -119,43 +120,20 @@ def is_acyclic(matching: MorseMatching) -> bool:
 
     A step goes up from a matched face to its cofacet and back down to a
     different matched face of the same size; a cycle among those steps is
-    exactly the forbidden pattern.
+    exactly the forbidden pattern.  ``graphlib`` finds one without
+    recursion; a face with no step lies on none and is left out.
     """
     partner = matching.partner()
-    lower_set = {a for a, _ in matching.pairs}
-
-    def downsteps(low: int):
+    lower = {a for a, _ in matching.pairs}
+    steps = {}
+    for low in lower:
         up = partner[low]
-        m = up
-        while m:
-            bit = m & -m
-            m ^= bit
-            nxt = up ^ bit
-            if nxt != low and nxt in lower_set:
-                yield nxt
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(lower_set, WHITE)
-    for root in lower_set:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, downsteps(root))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color[nxt]
-                if c == GRAY:
-                    return False
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, downsteps(nxt)))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+        if out := [f for t in bits(up) if (f := up ^ 1 << t) in lower and f != low]:
+            steps[low] = out
+    try:
+        TopologicalSorter(steps).prepare()
+    except CycleError:
+        return False
     return True
 
 
@@ -307,29 +285,19 @@ def _pair_rows(simplices: Faces, mirror: array, lesser: array) -> tuple[array, a
     ``rows[offsets[i]:offsets[i + 1]]``, empty at every other id.  The row
     lists ``lesser[f]`` for each codimension-1 face f of face i in the
     table, dropping i's tokens lowest first, where ``lesser[f]`` is not -1.
-    When the swap pairs every face of the table and ``simplices`` holds
-    the lesser face of each pair, records in ``table.closed`` whether no
-    codimension-1 face was missing: a face's mirror misses one exactly
-    when the face does."""
+    A codimension-1 face missing from the table is skipped."""
     table = simplices.table
     masks, get, flags = table.masks, table.index.get, simplices.flags
     offsets, rows = array("i", [0]), array("i")
-    closed, pairs = True, 0
     for i, s in enumerate(masks):
         if flags[i] and mirror[i] > i:
-            pairs += 1
             m = s if s & (s - 1) else 0  # a vertex has no face
             while m:
                 low = m & -m
                 m ^= low
-                f = get(s ^ low)
-                if f is None:
-                    closed = False
-                elif (p := lesser[f]) >= 0:
+                if (f := get(s ^ low)) is not None and (p := lesser[f]) >= 0:
                     rows.append(p)
         offsets.append(len(rows))
-    if 2 * pairs == len(masks):
-        table.closed = closed
     return offsets, rows
 
 

@@ -84,7 +84,7 @@ def test_criterion_4_squarefree_and_embedding():
             "adjoint of P4 is an 8-vertex path, while the 3-subdivision of P4 has "
             "10 vertices, and a homomorphic image of a connected graph lies in "
             "one component. Any graph with a degree-1 vertex folds two path "
-            "positions onto one tuple. See the decision log.",
+            "positions onto one tuple. See README, \"Install and test\".",
         )
     assert ok
 

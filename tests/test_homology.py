@@ -99,10 +99,12 @@ def test_adjoint_box_betti_matches_base():
 
 
 def test_boundary_squares_to_zero():
-    # the reference boundary holds each face's codimension-1 faces and squares
-    # to zero; read through the mirror pairs of a free complex, the pair rows
-    # square to zero too, and the occurrences of a pair in the rows count the
-    # cofacets of either of its faces, which is what a collapse reads
+    # a complex's faces come on a table made closed, and the reference
+    # boundary finds no face missing, holds each face's codimension-1 faces
+    # and squares to zero; read through the mirror pairs of a free complex,
+    # the pair rows square to zero too, and the occurrences of a pair in the
+    # rows count the cofacets of either of its faces, which is what a
+    # collapse reads
     rng = random.Random(99)
     complexes = [build_box(clique(4))] + [random_free_complex(rng, 7) for _ in range(150)]
     pairs = 0
@@ -110,7 +112,7 @@ def test_boundary_squares_to_zero():
         faces = k.simplices()
         table = faces.table
         offsets, ids, closed = boundary_reference(table)
-        assert closed and len(faces) == len(table.masks)
+        assert closed and table.closed and len(faces) == len(table.masks)
         for i, s in enumerate(table.masks):
             facets = ids[offsets[i] : offsets[i + 1]]
             expect = {s ^ (1 << t) for t in bits(s)} if s.bit_count() > 1 else set()
@@ -257,7 +259,7 @@ def test_betti_budget_is_checked_before_boundary_work():
     fresh = build_box(cycle_graph(5)).simplices()
     with pytest.raises(ResourceError, match="homology budget"):
         betti_mod2(fresh, budget=len(fresh) - 1)
-    assert fresh.table.closed is None  # no boundary was built
+    assert fresh.table._pivots is None  # refused before any pivot was read
     assert betti_mod2(faces, budget=len(faces)) == (1, 0, 1)
 
 

@@ -14,7 +14,7 @@ import random
 import weakref
 from array import array
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from pathlib import Path
 
 import numpy as np
@@ -87,12 +87,12 @@ def check_against_boundary_reference(simplices, h: int, kept=None) -> tuple[arra
     the pairs whose lesser id is in ``kept``, or every pair when it is None.
 
     A pivot is the face without the lowest token, the first and greatest
-    reference id when that face is in the table.  ``is_closed`` on the
-    whole table, by a scan, and the pair rows, when the swap pairs every
-    face of the table and ``simplices`` holds each pair's lesser face,
-    record the reference's closedness; else the rows record nothing.  The row of a pair is that of its lesser face
-    read through the pairs: each reference id replaced by its pair's lesser
-    id, and dropped where that is not kept."""
+    reference id when that face is in the table.  ``is_closed``, on the
+    whole table and on ``simplices``, must say whether each member has all
+    its codimension-1 faces in the reference and every one a member.  The
+    row of a pair is that of its lesser face read through the pairs: each
+    reference id replaced by its pair's lesser id, and dropped where that
+    is not kept."""
     table = simplices.table
     masks, get, n = table.masks, table.index.get, len(table.masks)
     offsets, ids, closed = boundary_reference(table)
@@ -103,18 +103,20 @@ def check_against_boundary_reference(simplices, h: int, kept=None) -> tuple[arra
         if s & (s - 1) and want >= 0:
             row = ids[offsets[i] : offsets[i + 1]]
             assert row[0] == want == max(row)
-    table.closed = None
-    assert table.faces().is_closed() == closed == table.closed
+    assert table.faces().is_closed() == closed
+    flags = simplices.flags
+    assert simplices.is_closed() == all(
+        offsets[i + 1] - offsets[i] == (s.bit_count() if s & (s - 1) else 0)
+        and all(flags[f] for f in ids[offsets[i] : offsets[i + 1]])
+        for i, s in compress(enumerate(masks), flags)
+    )
     mirror = table.mirrors(h)
     lesser = array("i", [-1]) * n
     for i, m in enumerate(mirror):
         p = i if m < 0 or i < m else m
         if kept is None or p in kept:
             lesser[i] = p
-    table.closed = None
     got_offsets, got_rows = _pair_rows(simplices, mirror, lesser)
-    paired = sum(simplices.flags[i] and mirror[i] > i for i in range(n))
-    assert table.closed == (closed if 2 * paired == n else None)
     assert len(got_offsets) == n + 1
     for i in range(n):
         want = []
