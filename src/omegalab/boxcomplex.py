@@ -8,6 +8,10 @@ every face's mirror and pivot as ids, which the collapses and the homology
 share) and its simplex sets are ``Faces`` drawn from it.  No face's full
 boundary is kept: the collapses build rows per mirror pair
 (``morse._CollapseState``) and the homology reads one pivot per face.
+
+A box complex lists its faces cube by cube from the adjacency over its
+shore positions (``_box_faces``); a complex given by facets alone
+(``make_complex``, ``parse_complex``) walks the subsets of its facets.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from itertools import compress
 from .bitset import bits, holders, mask_of
 from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, ParseError, ResourceError, ints, records
 from .functors import Homomorphism
-from .graphs import Graph, common_neighborhood
+from .graphs import Graph
 
 
 class FaceTable:
@@ -29,22 +33,24 @@ class FaceTable:
     ``masks[i]`` is face i and ``index`` inverts it; a list of masks is
     sorted in place and kept, any other iterable copied.  ``mirrors(h)``
     gives every face's mirror as an id, and ``pivots()`` every face's face
-    without its lowest token, both built once.  ``closed`` is fixed when
-    the table is made: True only when its maker knows that every
-    codimension-1 face of a face is in the table, as ``Z2Complex.simplices``
-    does; False means unknown, and ``Faces.is_closed`` then scans.  Ids in
-    mask order make a heap of ids pop in mask order.
+    without its lowest token, both built once; a maker that knows the
+    pivots as it makes the faces, as the cube walk of a box complex does,
+    passes them in.  ``closed`` is fixed when the table is made: True only
+    when its maker knows that every codimension-1 face of a face is in the
+    table, as ``Z2Complex.simplices`` does; False means unknown, and
+    ``Faces.is_closed`` then scans.  Ids in mask order make a heap of ids
+    pop in mask order.
     """
 
     __slots__ = ("masks", "index", "closed", "_mirrors", "_pivots")
 
-    def __init__(self, masks: Iterable[int], closed: bool = False):
+    def __init__(self, masks: Iterable[int], closed: bool = False, pivots: array | None = None):
         self.masks = masks if isinstance(masks, list) else list(masks)  # distinct
         self.masks.sort()  # one pass when sorted already
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.closed = closed
         self._mirrors: tuple[int, array] | None = None
-        self._pivots: array | None = None
+        self._pivots = pivots
 
     def mirrors(self, h: int) -> array:
         """The id of every face's mirror under the half-shift swap of shores
@@ -68,8 +74,9 @@ class FaceTable:
 
     def pivots(self) -> array:
         """The id of every face without its lowest token, or -1 where that
-        face is not in the table; built once.  It is the greatest id among
-        a face's codimension-1 faces, and ``betti_mod2`` reads a column's
+        face is not in the table; built once with one lookup per face,
+        unless the table was made with them.  It is the greatest id among a
+        face's codimension-1 faces, and ``betti_mod2`` reads a column's
         pivot there."""
         if self._pivots is None:
             get = self.index.get
@@ -166,12 +173,16 @@ class Z2Complex:
     shores through ``mirror``, ``mirror_token``, ``split`` and ``token``,
     except ``FaceTable.mirrors`` and ``morse._phase_partners``, which run
     once per face and inline the same shifts and masks.  The complex is its
-    base and its facets: whether the swap is free and what the faces are is
-    read from the facets on each call.
+    base and its facets, and whether the swap is free is read from the
+    facets on each call.  A box complex also holds ``rows``, the adjacency
+    over its shore positions that its facets and faces are read from,
+    which takes no part in equality; any other complex has none.
     """
 
     base: tuple[int, ...]
     facets: tuple[int, ...]
+    # rows[p]: the positions adjacent to position p, for a box complex only
+    rows: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     h: int = field(init=False, repr=False, compare=False)
     # mask of the white tokens, which is also the mask of all shore positions
     white: int = field(init=False, repr=False, compare=False)
@@ -216,18 +227,23 @@ class Z2Complex:
         """All faces of all facets, materialized into a new face table on
         every call, made closed.
 
-        Each facet's faces are walked as a subset tree: a node is a face and
-        the tokens it may still drop, a child drops one of them and keeps
-        only those below it, so every nonempty subset of the facet is
-        reached once.  The faces seen are closed downward between facets,
-        so a child seen before came from an earlier facet with all its
-        subfaces, and its subtree is skipped.  Every codimension-1 face of
-        a face is thus in the table.
+        A box complex lists its faces cube by cube from its rows, with
+        every pivot, and counts them exactly before it makes any
+        (``_box_faces``).  Any other complex walks each facet's faces as a
+        subset tree: a node is a face and the tokens it may still drop, a
+        child drops one of them and keeps only those below it, so every
+        nonempty subset of the facet is reached once.  The faces seen are
+        closed downward between facets, so a child seen before came from
+        an earlier facet with all its subfaces, and its subtree is skipped.
+        Every codimension-1 face of a face is thus in the table.
 
-        The budget bounds the distinct faces.  A facet of t tokens has
-        2^t - 1 faces, so one facet over the budget is refused before any
-        face is built; otherwise the walk stops as soon as the count passes
-        the budget and names the facet it reached, the i-th of m."""
+        The budget bounds the distinct faces.  On the facet walk, a facet
+        of t tokens has 2^t - 1 faces, so one facet over the budget is
+        refused before any face is built; otherwise the walk stops as soon
+        as the count passes the budget and names the facet it reached, the
+        i-th of m."""
+        if self.rows is not None:
+            return _box_faces(self.rows, budget)
         if (1 << max((f.bit_count() for f in self.facets), default=0)) - 1 > budget:
             raise ResourceError(f"simplex budget {budget} exceeded")
         seen: set[int] = set()
@@ -278,8 +294,19 @@ def make_complex(base, facets) -> Z2Complex:
     if any(f >> out.token_count for f in facets):
         raise ParameterError("facet uses tokens beyond the vertex table")
     closed = {m for f in facets if f for m in (f, out.mirror(f))}
-    out.facets = tuple(sorted(_maximal(list(closed)), key=lambda m: tuple(bits(m))))
+    out.facets = _facet_order(_maximal(list(closed)))
     return out
+
+
+def _facet_order(facets: list[int]) -> tuple[int, ...]:
+    """An antichain of facets in the order of their ascending token lists.
+    That is the descending order of their masks with the bits reversed
+    within one width: the lowest token where two facets differ is in the
+    earlier, and no facet's tokens are a prefix of another's, as no facet
+    contains another.  The keys are ints, 1 bit per token of width, where
+    strings would take a byte."""
+    top = 1 << max(facets, default=0).bit_length()
+    return tuple(sorted(facets, key=lambda m: int(bin(m | top)[:2:-1], 2), reverse=True))
 
 
 def _maximal(masks) -> list[int]:
@@ -300,33 +327,102 @@ def _maximal(masks) -> list[int]:
 def build_box(g: Graph) -> Z2Complex:
     """Box complex: isolated vertices dropped, facets are the closed pairs
     (A, CN(A)) with both sides nonempty, white copy of A with black copy of
-    CN(A).  The swap action is free exactly when g has no loops.
+    CN(A).  The swap action is free exactly when g has no loops.  The
+    complex keeps the adjacency over its positions, which its closed sets
+    are folded from and its faces listed from (``Z2Complex.simplices``).
 
     The facets need no ``validate``: A within B forces CN(B) within CN(A),
     so of two nested facets the shores are equal, and (CN(A), A) is the
     facet of the closed set CN(A), so the list is swap-symmetric."""
     vlist = [v for v in range(g.n) if g.adj[v]]
     pos = {v: i for i, v in enumerate(vlist)}
-    h = len(vlist)
+    rows = tuple(mask_of(pos[u] for u in bits(g.adj[v])) for v in vlist)
+    h = len(rows)
     facets = []
-    for a_mask in _closed_sets(g):
-        cn = common_neighborhood(g, a_mask)
-        if a_mask and cn:
-            white = mask_of(pos[v] for v in bits(a_mask))
-            black = mask_of(h + pos[v] for v in bits(cn))
-            facets.append(white | black)
-    facets.sort(key=lambda m: tuple(bits(m)))
-    return Z2Complex(tuple(vlist), tuple(facets))
+    for a in _closed_sets(rows):
+        cn = (1 << h) - 1
+        for p in bits(a):
+            cn &= rows[p]
+        if a and cn:
+            facets.append(a | cn << h)
+    return Z2Complex(tuple(vlist), _facet_order(facets), rows)
 
 
-def _closed_sets(g: Graph) -> set[int]:
-    """All Galois-closed vertex sets A = CN(CN(A)).  These are exactly the
-    intersections of neighbourhoods, V being the empty intersection."""
-    family = {g.vertex_mask()}
-    for row in g.adj:
-        if row:
-            family |= {a & row for a in family}
+def _closed_sets(rows: tuple[int, ...]) -> set[int]:
+    """All Galois-closed position sets A = CN(CN(A)).  These are exactly the
+    intersections of rows, all positions being the empty intersection."""
+    family = {(1 << len(rows)) - 1}
+    for row in rows:
+        family |= {a & row for a in family}
     return family
+
+
+def _box_faces(rows: tuple[int, ...], budget: int) -> Faces:
+    """The faces of the box complex over the position rows, in a closed
+    table made with every pivot.
+
+    A face is A + B, white A and black B, with A x B within the edges; one
+    shore may be empty only if the other has a common neighbour.  So for
+    each shore set B (nonempty, with a common neighbour) the faces are
+    (B, empty) and (A, B) for every A within CN(B).  B sits above A in a
+    mask, so in mask order block 0 is the shore sets, ascending, and then
+    each B's block is B << h with the submasks of CN(B), ascending.
+
+    The shore sets are walked depth first, a child adding a position below
+    its parent's lowest and ANDing that row into CN; children come in
+    ascending order, so the sets come ascending, and a node offers its
+    children only the positions that passed at it.  When every child keeps
+    CN whole (always when CN is one position) the subtree is the cube of
+    the sets B | X for X within the children's positions F, and is recorded
+    whole.  A record counts 2^|F| (1 + 2^|CN(B)|) faces, so the count is
+    exact and the budget refuses before any face is made.
+
+    A record's faces are two cubes of contiguous ids: B with the submasks
+    of F in block 0, and B << h with those of F << h | CN(B) after it.  A
+    pivot drops the lowest token: the j-th face of a cube, j > 0, drops the
+    lowest token of its submask, leaving the face j - (j & -j) of the
+    cube; the first drops B's lowest position, leaving the first face of
+    the parent's one-set record in the same block, or nothing when B is
+    one position."""
+    h, white = len(rows), (1 << len(rows)) - 1
+    records = []  # (B, F, CN(B), the parent's record or -1), ascending
+    count = 0
+    stack = [(0, white, white, -1)]  # a node: B, CN(B), the positions it may add, parent
+    while stack:
+        b, cn, free, parent = stack.pop()
+        here, kids, passed, whole = len(records) if b else -1, [], 0, True
+        for p in bits(free):
+            if c := cn & rows[p]:
+                kids.append((b | 1 << p, c, passed, here))
+                passed |= 1 << p
+                whole = whole and c == cn
+        if b:
+            f = passed if whole else 0
+            count += (1 + (1 << cn.bit_count())) << f.bit_count()
+            if count > budget:
+                raise ResourceError(f"simplex budget {budget} exceeded")
+            records.append((b, f, cn, parent))
+            if whole:
+                continue
+        stack += reversed(kids)
+
+    masks, pivots = [], array("i")
+    tails: dict[int, list[int]] = {}  # cube size k -> j - (j & -j) for 0 < j < k
+    for lifted in (False, True):  # block 0, then the blocks of the sets
+        firsts = []  # the id of each record's first face in this pass
+        for b, f, cn, parent in records:
+            firsts.append(len(masks))
+            cube, dirs = ([b << h], f << h | cn) if lifted else ([b], f)
+            while dirs:
+                low = dirs & -dirs
+                dirs ^= low
+                cube += [m | low for m in cube]
+            if (tail := tails.get(len(cube))) is None:
+                tail = tails[len(cube)] = [j - (j & -j) for j in range(1, len(cube))]
+            pivots.append(firsts[parent] if parent >= 0 else -1)
+            pivots.extend(map(firsts[-1].__add__, tail))
+            masks += cube
+    return FaceTable(masks, closed=True, pivots=pivots).faces()
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ assert on every collapse certificate.
 ``boxcomplex.FaceTable``).  The d-th boundary has a column per d-face and a
 row per (d-1)-face, and a column's pivot is its greatest row id.  Ids
 follow mask order, so the pivot of a face's own column is the face without
-its lowest token, which the table caches for every face with one lookup
-(``FaceTable.pivots``): one read.  No boundary is stored.  The reduction
+its lowest token, which the table holds for every face
+(``FaceTable.pivots``: a box complex's table is made with them, any other
+looks each up once): one read.  No boundary is stored.  The reduction
 runs from the top dimension down, each level's columns in id order.  A
 column whose pivot no earlier column holds is recorded as its face id and
 never built, the shortcut Ripser takes for its apparent and emergent pairs
@@ -42,8 +43,8 @@ def betti_mod2(
     Most columns are never built: a column whose pivot no earlier column
     holds is kept as its face id, and only a second column landing on the
     same pivot builds both.  On the 166,250 faces of the Petersen k=1
-    shortcut complex, with the table's pivots already cached (0.09 s and
-    0.7 MB more when they are not), 83,130 pivots are taken and 102 column
+    shortcut complex, whose table is made with its pivots (0.09 s and
+    0.7 MB more to look them up), 83,130 pivots are taken and 102 column
     XORs done, in 0.06-0.08 s of CPU and 4.1 MB of traced peak on a 2-vCPU
     Xeon host; building every column not cleared took 0.29-0.47 s and
     28 MB.  The empty mask is refused: it is not a simplex.

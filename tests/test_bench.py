@@ -8,11 +8,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["ladder", "search", "construct"])
+@pytest.mark.parametrize("workload", ["ladder", "verify_all", "search", "construct"])
 def test_benchmark_replay_still_runs_on_the_public_calls(workload):
     # the traced workloads call pipeline() through saturation_matching,
-    # is_acyclic, collapse on plain sets and removal_phases (ladder), the
-    # solver with HomSearchConfig(node_budget=...) (search) and
+    # is_acyclic, collapse on plain sets and removal_phases (ladder), rebuild
+    # the `all` report from verify.SUITES and verify.fingerprint (verify_all),
+    # call the solver with HomSearchConfig(node_budget=...) (search) and
     # build_approx_map(g, k) (construct); a change to those calls that
     # breaks the benchmark fails here first
     proc = subprocess.run(

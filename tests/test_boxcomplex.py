@@ -10,6 +10,7 @@ from omegalab.boxcomplex import (
     Faces,
     FaceTable,
     Z2Complex,
+    _facet_order,
     _maximal,
     build_box,
     format_complex,
@@ -19,7 +20,7 @@ from omegalab.boxcomplex import (
 )
 from omegalab.errors import ParameterError, ParseError, ResourceError
 from omegalab.functors import Homomorphism, base_projection, omega
-from omegalab.graphs import Graph, clique, common_neighborhood, cycle_graph, path_graph
+from omegalab.graphs import Graph, biclique, clique, common_neighborhood, cycle_graph, path_graph
 
 from util import box_facets_oracle, check_against_boundary_reference, faces_oracle, random_graph
 
@@ -267,6 +268,58 @@ def test_exact_budget_on_shared_faces():
     with pytest.raises(ResourceError) as err:
         Z2Complex(tuple(range(5)), (0b111, 0b111 << 3, 0b111 << 6)).simplices(10)
     assert str(err.value) == "simplex budget 10 exceeded after 2 of 3 facets"
+
+
+def test_a_box_complex_counts_its_faces_exactly_before_making_any():
+    # the cube walk counts 1 + 2^|CN(B)| faces per shore set B: B(K4) has 78
+    k = build_box(clique(4))
+    assert len(k.simplices(78)) == 78
+    with pytest.raises(ResourceError) as err:
+        k.simplices(77)
+    assert str(err.value) == "simplex budget 77 exceeded"
+    # B(K_{16,16}) has 2(2^16 - 1)(1 + 2^16) faces, about 8.6e9: the walk
+    # counts the cube of sets below each one-vertex shore set at once
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="simplex budget 10000000 exceeded"):
+        build_box(biclique(16, 16)).simplices()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cube_walk_matches_the_facet_walk():
+    # a box complex lists its faces from its position rows; the same base
+    # and facets without the rows walk the facets' subset trees
+    rng = random.Random(2606)
+    edgeless = [Graph.from_edges(n, []) for n in (0, 1, 5)] + [Graph.from_edges(1, [(0, 0)])]
+    # in a biclique the walk records each one-vertex shore set with the cube
+    # of sets below it, all with the other side as common neighbourhood
+    graphs = edgeless + [biclique(3, 4)] + [
+        random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.9), (0.0, 0.3)[i % 2]) for i in range(295)
+    ]
+    checked = 0
+    for i, g in enumerate(graphs):
+        box = build_box(g)
+        plain = Z2Complex(box.base, box.facets)
+        assert box == plain and plain.rows is None
+        faces = box.simplices()
+        table = faces.table
+        assert table.masks == plain.simplices().table.masks and table.closed
+        get = table.index.get
+        assert list(table.pivots()) == [get(s ^ (s & -s), -1) for s in table.masks]
+        if i % 50 == 7:
+            check_against_boundary_reference(faces, box.h)
+            checked += 1
+    assert checked == 6
+
+
+def test_facet_order_is_the_order_of_token_lists():
+    # for an antichain the bit-reversed masks, descending, order the facets
+    # as their ascending token lists do
+    rng = random.Random(7)
+    for _ in range(3000):
+        width = rng.randint(1, 12)
+        masks = [rng.getrandbits(width) for _ in range(rng.randint(1, 10))]
+        antichain = _maximal(list(set(masks) - {0}))
+        assert _facet_order(antichain) == tuple(sorted(antichain, key=lambda m: tuple(bits(m))))
 
 
 @st.composite

@@ -550,6 +550,19 @@ def test_a_facet_over_the_budget_stops_the_shortcut_complex_at_once():
     assert time.perf_counter() - start < 2.0
 
 
+def test_the_face_count_stops_the_groetzsch_shortcut_complex_at_once():
+    # no facet of the Grötzsch graph's shortcut complex at k = 2 is over the
+    # default budget alone; listing its faces up to the budget took 12.8 s
+    # and 1.2 GB, and counting them stops before any is made
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    edges += [(10, 5 + i) for i in range(5)]
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="simplex budget 10000000 exceeded"):
+        ShortcutComplex(Graph.from_edges(11, edges), 2)
+    assert time.perf_counter() - start < 2.0
+
+
 # full pipeline reports, pinned so that a change to the collapse or homology
 # engines that moves the heap order or any count shows up here
 PIPELINE_REPORTS = {
