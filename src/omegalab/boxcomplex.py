@@ -35,20 +35,32 @@ class FaceTable:
     gives every face's mirror as an id, and ``pivots()`` every face's face
     without its lowest token, both built once; a maker that knows the
     pivots as it makes the faces, as the cube walk of a box complex does,
-    passes them in.  ``closed`` is fixed when the table is made: True only
-    when its maker knows that every codimension-1 face of a face is in the
-    table, as ``Z2Complex.simplices`` does; False means unknown, and
-    ``Faces.is_closed`` then scans.  Ids in mask order make a heap of ids
-    pop in mask order.
+    passes them in.  That walk also passes ``starts``, the id where each
+    cube begins, with ``len(masks)`` appended: a cube's faces are its first
+    face ORed with the submasks of its directions in doubling order (offset
+    j holds the directions at the set bits of j), and every direction token
+    lies below every token of the first face.  A table made without them
+    has ``starts`` None and reads as one-face cubes.  ``closed`` is fixed
+    when the table is made: True only when its maker knows that every
+    codimension-1 face of a face is in the table, as ``Z2Complex.simplices``
+    does; False means unknown, and ``Faces.is_closed`` then scans.  Ids in
+    mask order make a heap of ids pop in mask order.
     """
 
-    __slots__ = ("masks", "index", "closed", "_mirrors", "_pivots")
+    __slots__ = ("masks", "index", "closed", "starts", "_mirrors", "_pivots")
 
-    def __init__(self, masks: Iterable[int], closed: bool = False, pivots: array | None = None):
+    def __init__(
+        self,
+        masks: Iterable[int],
+        closed: bool = False,
+        pivots: array | None = None,
+        starts: array | None = None,
+    ):
         self.masks = masks if isinstance(masks, list) else list(masks)  # distinct
         self.masks.sort()  # one pass when sorted already
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.closed = closed
+        self.starts = starts
         self._mirrors: tuple[int, array] | None = None
         self._pivots = pivots
 
@@ -383,7 +395,9 @@ def _box_faces(rows: tuple[int, ...], budget: int) -> Faces:
     lowest token of its submask, leaving the face j - (j & -j) of the
     cube; the first drops B's lowest position, leaving the first face of
     the parent's one-set record in the same block, or nothing when B is
-    one position."""
+    one position.  The table is also given the id where each cube starts,
+    which ``morse._pair_rows`` reads the codimension-1 faces within a cube
+    from."""
     h, white = len(rows), (1 << len(rows)) - 1
     records = []  # (B, F, CN(B), the parent's record or -1), ascending
     count = 0
@@ -406,7 +420,7 @@ def _box_faces(rows: tuple[int, ...], budget: int) -> Faces:
                 continue
         stack += reversed(kids)
 
-    masks, pivots = [], array("i")
+    masks, pivots, starts = [], array("i"), array("i")
     tails: dict[int, list[int]] = {}  # cube size k -> j - (j & -j) for 0 < j < k
     for lifted in (False, True):  # block 0, then the blocks of the sets
         firsts = []  # the id of each record's first face in this pass
@@ -422,7 +436,9 @@ def _box_faces(rows: tuple[int, ...], budget: int) -> Faces:
             pivots.append(firsts[parent] if parent >= 0 else -1)
             pivots.extend(map(firsts[-1].__add__, tail))
             masks += cube
-    return FaceTable(masks, closed=True, pivots=pivots).faces()
+        starts.extend(firsts)
+    starts.append(len(masks))
+    return FaceTable(masks, closed=True, pivots=pivots, starts=starts).faces()
 
 
 @dataclass(frozen=True)

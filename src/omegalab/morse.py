@@ -30,15 +30,22 @@ domain and one partner array over it: a matching is an involution, and
 below the mask API that array is its only form.  The removal phases come
 from one scan over the faces outside the unmodified box complex, one face
 of each mirror pair, that reads each face's offense and capped tail from
-folded memos keyed by shore sets (``bitset.Folded``): offender rows ORed
-over a shore, common neighborhoods ANDed over one.  The memos hold one
-entry per shore set the scan meets and are dropped with it.
+folds over shore sets: offender rows ORed over a shore, common
+neighborhoods ANDed over one.  The two folds every face reads (same-shore
+offenders, and the capped tail's own shore) are lists over the table's
+shore sets, its faces with no black token, by id: each entry is one OR or
+AND onto the entry at its pivot, and a shore's id is one ``index`` read.
+The two that few faces read (cross-shore offenders, and the capped tail's
+other shore) are folded memos keyed by shore sets (``bitset.Folded``),
+one entry per shore set the scan meets.  All four are dropped with the
+scan.
 
 Recipes are collapsed on ids by ``_CollapseState``, on mirror pairs: an
 equivariant collapse of a free complex is a collapse of its quotient by the
 swap (Freij, "Equivariant discrete Morse theory", Discrete Math. 2009).  It
 keeps flag sets for the faces a collapse leaves and one row per mirror
-pair, at its lesser id, of the pairs of its codimension-1 faces; no face's
+pair, at its lesser id, of the pairs of its codimension-1 faces, read cube
+by cube as the box complex lists its faces (``_pair_rows``); no face's
 full boundary is built.  It counts cofacets once per pair, checks each
 matched pair at its lesser id, by ascending id, and pops only lesser ids; a
 step removes a face, its cofacet and both mirrors.  The three phases run on
@@ -57,6 +64,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from bisect import bisect_left
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
@@ -285,19 +293,36 @@ def _pair_rows(simplices: Faces, mirror: array, lesser: array) -> tuple[array, a
     ``rows[offsets[i]:offsets[i + 1]]``, empty at every other id.  The row
     lists ``lesser[f]`` for each codimension-1 face f of face i in the
     table, dropping i's tokens lowest first, where ``lesser[f]`` is not -1.
-    A codimension-1 face missing from the table is skipped."""
+    A codimension-1 face missing from the table is skipped.
+
+    The faces are read cube by cube (``FaceTable.starts``; a table without
+    them is one-face cubes).  Face i, at offset j of its cube, drops each
+    direction it holds, set bit ``low`` of j, onto the face at id
+    ``i - low`` of the same cube, and only the drops of its cube's first
+    face's tokens are looked up in ``index``; the directions lie below
+    those tokens, so their drops come first."""
     table = simplices.table
     masks, get, flags = table.masks, table.index.get, simplices.flags
+    starts = table.starts or range(len(masks) + 1)
     offsets, rows = array("i", [0]), array("i")
-    for i, s in enumerate(masks):
-        if flags[i] and mirror[i] > i:
-            m = s if s & (s - 1) else 0  # a vertex has no face
-            while m:
-                low = m & -m
-                m ^= low
-                if (f := get(s ^ low)) is not None and (p := lesser[f]) >= 0:
-                    rows.append(p)
-        offsets.append(len(rows))
+    for first, end in zip(starts, starts[1:]):
+        base = masks[first]
+        for i in range(first, end):
+            if flags[i] and mirror[i] > i:
+                j = i - first
+                while j:
+                    low = j & -j
+                    j ^= low
+                    if (p := lesser[i - low]) >= 0:
+                        rows.append(p)
+                s = masks[i]
+                m = base if s & (s - 1) else 0  # a vertex has no face
+                while m:
+                    low = m & -m
+                    m ^= low
+                    if (f := get(s ^ low)) is not None and (p := lesser[f]) >= 0:
+                        rows.append(p)
+            offsets.append(len(rows))
     return offsets, rows
 
 
@@ -343,7 +368,7 @@ class ShortcutComplex:
         # positions p whose tail fails to join tail(q), that is, whose tail
         # holds a vertex outside CN(tail(q)); ``subtail_offenders`` the same
         # for subtail(q).  The common neighborhoods are the rows of the
-        # capped tail's memos (``_phase_partners``).
+        # capped tail's folds (``_phase_partners``).
         self.cn_tail = [common_neighborhood(g, t) for t in self.tail]
         self.cn_subtail = [common_neighborhood(g, t) for t in self.subtail]
         held = holders(self.tail)
@@ -359,23 +384,27 @@ class ShortcutComplex:
     def offense_scan(self):
         """The offense of a simplex from its two shores ``(lo, hi)``: why it
         lies outside the unmodified box complex, as ``(phase, lead, shore)``,
-        or None when it lies inside; read from folded memos that belong to
-        the returned function.
+        or None when it lies inside; read from folds that belong to the
+        returned function.
 
         A lead p offends on its own shore when its tail fails to join some
         subtail there, and across when it fails to join some tail on the
         other shore; a position on both shores is read on the white one.
         The leads offending on a shore set S are the union of the offender
-        rows over S, one memo lookup.  The least unsaturated same-shore lead
-        gives phase 1; else the least same-shore lead, saturated, gives
-        phase 2; else the least cross-shore lead gives phase 3."""
-        same = Folded(self.subtail_offenders, or_, 0)
+        rows over S, one read: the same-shore unions are a list over the
+        shore-set ids (``_shore_fold``) and the cross-shore ones, read only
+        for the few simplices with no same-shore lead, a folded memo.  The
+        least unsaturated same-shore lead gives phase 1; else the least
+        same-shore lead, saturated, gives phase 2; else the least
+        cross-shore lead gives phase 3."""
+        get = self.simplices.table.index.get
+        same = _shore_fold(self, self.subtail_offenders, or_, 0)
         cross = Folded(self.tail_offenders, or_, 0)
         unsaturated = ~self.saturated_pos
 
         def offense(lo: int, hi: int) -> tuple[int, int, int] | None:
             black = hi & ~lo
-            if lead := (leads := lo & same[lo] | black & same[hi]) & unsaturated:
+            if lead := (leads := lo & same[get(lo, -1)] | black & same[get(hi, -1)]) & unsaturated:
                 phase = 1
             elif lead := leads:
                 phase = 2
@@ -387,6 +416,25 @@ class ShortcutComplex:
             return phase, lead.bit_length() - 1, 0 if lo & lead else 1
 
         return offense
+
+
+def _shore_fold(sc: ShortcutComplex, rows: list[int], op, start: int) -> list[int]:
+    """``op`` folded over ``rows`` at the positions of each shore set, by
+    id: the shore sets are the faces of the shortcut table with no black
+    token, ids below ``bisect_left(masks, 1 << h)``.  Each entry is one
+    ``op`` onto the entry at its pivot, the set without its lowest
+    position, which has a lower id.  One more entry, last, holds ``start``,
+    the fold over the empty shore: a one-position set's pivot, -1, reads
+    it, and so does ``index.get(0, -1)``.  The table is closed, so every
+    nonempty shore of one of its faces is a shore set."""
+    table = sc.simplices.table
+    masks, pivots = table.masks, table.pivots()
+    n = bisect_left(masks, 1 << sc.box.h)
+    fold = [start] * (n + 1)
+    for i in range(n):
+        m = masks[i]
+        fold[i] = op(fold[pivots[i]], rows[(m & -m).bit_length() - 1])
+    return fold
 
 
 def saturation_matching(sc: ShortcutComplex) -> tuple[MorseMatching, set[int]]:
@@ -466,7 +514,9 @@ def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
     phases 1 and 2 it is the capped tail: the common neighborhood of the
     pooled shore sets, the subtails of this shore and the tails of the other
     shore's unsaturated positions.  As CN(A | B) = CN(A) & CN(B), it is one
-    AND of two folded memos of common neighborhoods, one per shore set.
+    AND of two folds of common neighborhoods, one per shore set: a list
+    over the shore-set ids for this shore (``_shore_fold``), a folded memo
+    for the other.
 
     Without those tails a toggle can leave the shortcut complex (an input in
     ``test_morse.PIPELINE_REPORTS`` shows it), but only in phase 2.  An
@@ -478,7 +528,7 @@ def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
     In a free complex a simplex and its mirror have the same leads, phase,
     lead position and tail, on swapped shores, so the mirror's toggle is
     the toggle's mirror: each mirror pair is scanned once, at its lesser id.
-    The memos belong to this scan and go with it."""
+    The folds belong to this scan and go with it."""
     if not sc.box.free:
         raise ContractError("equivariant collapses need a free complex")
     table = sc.simplices.table
@@ -486,7 +536,7 @@ def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
     white, h, unsaturated = sc.box.white, sc.box.h, ~sc.saturated_pos
     offense = sc.offense_scan()
     everything = sc.g.vertex_mask()
-    capped_mine = Folded(sc.cn_subtail, and_, everything)
+    capped_mine = _shore_fold(sc, sc.cn_subtail, and_, everything)
     capped_other = Folded(sc.cn_tail, and_, everything)
     replaced: dict[tuple[int, int], int] = {}  # (p, tail) -> position of the replacement
     phase_of = bytearray(len(masks))  # 0 until the face or its mirror is scanned
@@ -503,7 +553,7 @@ def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
         if phase == 3:
             tail = union_of(sc.subtail, other)
         else:
-            tail = capped_mine[mine] & capped_other[other & unsaturated]
+            tail = capped_mine[get(mine, -1)] & capped_other[other & unsaturated]
         if (pos := replaced.get(key := (p, tail))) is None:
             pos = replaced[key] = _replacement(sc, p, tail)
         j = get(s ^ 1 << (pos + h if shore else pos), -1)  # the token of pos on the shore

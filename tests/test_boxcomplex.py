@@ -287,7 +287,8 @@ def test_a_box_complex_counts_its_faces_exactly_before_making_any():
 
 def test_cube_walk_matches_the_facet_walk():
     # a box complex lists its faces from its position rows; the same base
-    # and facets without the rows walk the facets' subset trees
+    # and facets without the rows walk the facets' subset trees.  The pair
+    # rows read by cube are checked on the whole table and on a drawn subset
     rng = random.Random(2606)
     edgeless = [Graph.from_edges(n, []) for n in (0, 1, 5)] + [Graph.from_edges(1, [(0, 0)])]
     # in a biclique the walk records each one-vertex shore set with the cube
@@ -306,7 +307,10 @@ def test_cube_walk_matches_the_facet_walk():
         get = table.index.get
         assert list(table.pivots()) == [get(s ^ (s & -s), -1) for s in table.masks]
         if i % 50 == 7:
+            assert table.starts is not None
             check_against_boundary_reference(faces, box.h)
+            drawn = table.faces(s for s in faces if rng.random() < 0.7)
+            check_against_boundary_reference(drawn, box.h, set(range(0, len(faces), 2)))
             checked += 1
     assert checked == 6
 

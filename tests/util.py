@@ -81,20 +81,36 @@ def boundary_reference(table) -> tuple[array, array, bool]:
 
 
 def check_against_boundary_reference(simplices, h: int, kept=None) -> tuple[array, array]:
-    """Check a face table's pivots and closedness, and the pair rows of
-    ``simplices`` (``morse._pair_rows`` under the swap of h positions),
-    against ``boundary_reference``; returns the pair rows.  The rows list
-    the pairs whose lesser id is in ``kept``, or every pair when it is None.
+    """Check a face table's cube starts, pivots and closedness, and the
+    pair rows of ``simplices`` (``morse._pair_rows`` under the swap of h
+    positions), against ``boundary_reference``; returns the pair rows.  The
+    rows list the pairs whose lesser id is in ``kept``, or every pair when
+    it is None.
 
-    A pivot is the face without the lowest token, the first and greatest
-    reference id when that face is in the table.  ``is_closed``, on the
-    whole table and on ``simplices``, must say whether each member has all
-    its codimension-1 faces in the reference and every one a member.  The
-    row of a pair is that of its lesser face read through the pairs: each
-    reference id replaced by its pair's lesser id, and dropped where that
-    is not kept."""
+    Where the table has cube starts, they rise from 0 to the face count,
+    and each cube is its first face ORed with the submasks of its
+    directions in doubling order, every direction token below the first
+    face's lowest token.  A pivot is the face without the lowest token, the
+    first and greatest reference id when that face is in the table.
+    ``is_closed``, on the whole table and on ``simplices``, must say whether
+    each member has all its codimension-1 faces in the reference and every
+    one a member.  The row of a pair is that of its lesser face read
+    through the pairs: each reference id replaced by its pair's lesser id,
+    and dropped where that is not kept; a table of the same masks made
+    without cube starts gives the same rows."""
     table = simplices.table
     masks, get, n = table.masks, table.index.get, len(table.masks)
+    if (starts := table.starts) is not None:
+        assert starts[0] == 0 and starts[-1] == n
+        for first, end in zip(starts, starts[1:]):
+            base = masks[first]
+            dirs = masks[end - 1] ^ base
+            assert first < end and dirs < base & -base
+            dir_bits = list(bits(dirs))
+            assert end - first == 1 << len(dir_bits)
+            for j in range(end - first):
+                sub = sum(1 << t for k, t in enumerate(dir_bits) if j >> k & 1)
+                assert masks[first + j] == base | sub
     offsets, ids, closed = boundary_reference(table)
     pivot = table.pivots()
     for i, s in enumerate(masks):
@@ -123,6 +139,10 @@ def check_against_boundary_reference(simplices, h: int, kept=None) -> tuple[arra
         if simplices.flags[i] and mirror[i] > i:
             want = [lesser[f] for f in ids[offsets[i] : offsets[i + 1]] if lesser[f] >= 0]
         assert list(got_rows[got_offsets[i] : got_offsets[i + 1]]) == want
+    if starts is not None:
+        bare = Faces.of(set(masks)).table.faces(simplices)
+        assert bare.table.starts is None and bare.flags == simplices.flags
+        assert _pair_rows(bare, mirror, lesser) == (got_offsets, got_rows)
     return got_offsets, got_rows
 
 
