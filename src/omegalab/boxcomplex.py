@@ -109,8 +109,10 @@ class FaceTable:
 
 class Faces(Set):
     """An immutable set of face masks drawn from a ``FaceTable``: one flag
-    byte per id.  ``-`` works on the flags and keeps the table; the other
-    set operations work as for any set."""
+    byte per id.  ``-`` works on the flags and keeps the table, and ``<=``
+    (so ``==`` and ``<`` too) compares two sets of one table on their
+    flags, both a few KB at a time; the other set operations work as for
+    any set."""
 
     __slots__ = ("table", "flags", "_len")
 
@@ -150,12 +152,25 @@ class Faces(Set):
             return other
         return self.table.faces(other)
 
+    def _flag_chunks(self, other: Faces):
+        """The flags of this set and of ``other``, from the same table, as
+        ints 8 KB at a time with their length: no int is as long as the
+        table."""
+        a, b, step = self.flags, other.flags, 1 << 13
+        for i in range(0, len(a), step):
+            x, y = a[i : i + step], b[i : i + step]
+            yield len(x), int.from_bytes(x, "little"), int.from_bytes(y, "little")
+
     def __sub__(self, other):
         if not isinstance(other, Iterable):
             return NotImplemented
-        a = int.from_bytes(self.flags, "little")
-        b = int.from_bytes(self.drawn(other).flags, "little")
-        return Faces(self.table, (a & ~b).to_bytes(len(self.flags), "little"))
+        chunks = self._flag_chunks(self.drawn(other))
+        return Faces(self.table, b"".join((x & ~y).to_bytes(k, "little") for k, x, y in chunks))
+
+    def __le__(self, other):
+        if isinstance(other, Faces) and other.table is self.table:
+            return not any(x & ~y for _, x, y in self._flag_chunks(other))
+        return Set.__le__(self, other)
 
     __hash__ = Set._hash
 

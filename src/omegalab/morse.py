@@ -34,11 +34,12 @@ folds over shore sets: offender rows ORed over a shore, common
 neighborhoods ANDed over one.  The two folds every face reads (same-shore
 offenders, and the capped tail's own shore) are lists over the table's
 shore sets, its faces with no black token, by id: each entry is one OR or
-AND onto the entry at its pivot, and a shore's id is one ``index`` read.
-The two that few faces read (cross-shore offenders, and the capped tail's
-other shore) are folded memos keyed by shore sets (``bitset.Folded``),
-one entry per shore set the scan meets.  All four are dropped with the
-scan.
+AND onto the entry at its pivot.  The scan goes cube by cube, so a face's
+black shore is read from its cube and only a nonempty white shore of a
+face with black tokens is looked up in ``index``.  The two that few faces
+read (cross-shore offenders, and the capped tail's other shore) are folded
+memos keyed by shore sets (``bitset.Folded``), one entry per shore set the
+scan meets.  All four are dropped with the scan.
 
 Recipes are collapsed on ids by ``_CollapseState``, on mirror pairs: an
 equivariant collapse of a free complex is a collapse of its quotient by the
@@ -46,9 +47,11 @@ swap (Freij, "Equivariant discrete Morse theory", Discrete Math. 2009).  It
 keeps flag sets for the faces a collapse leaves and one row per mirror
 pair, at its lesser id, of the pairs of its codimension-1 faces, read cube
 by cube as the box complex lists its faces (``_pair_rows``); no face's
-full boundary is built.  It counts cofacets once per pair, checks each
-matched pair at its lesser id, by ascending id, and pops only lesser ids; a
-step removes a face, its cofacet and both mirrors.  The three phases run on
+full boundary is built.  It counts cofacets once per pair and finds every
+matching's lower ids (the faces of its pairs) once, when it is built, in
+one byte per face.  A run checks each mirror pair of matched pairs once,
+at its lesser lower id, by ascending id, and pops only lesser ids; a step
+removes a face, its cofacet and both mirrors.  The three phases run on
 one state, each going on from where the last one ended.  A certificate
 keeps its steps as ids and decodes them to masks when read.
 ``saturation_matching`` and ``removal_phases`` read the recipes back as
@@ -199,10 +202,13 @@ class _CollapseState:
     under the swap, so a face and its mirror always have as many.
 
     Built from ``simplices``, which must be closed under the swap of a free
-    complex, and from the partner arrays of every matching it will run,
-    with one row per pair (``_pair_rows``) listing only the pairs that hold
-    the face of a matched pair, the only counts the heap loop reads.  A
-    pair appears in a row as often as one of its faces lies in the row's
+    complex, and from the partner arrays of every matching it will run, at
+    most eight.  Their lower ids (``partner[i] > i``, the faces of their
+    pairs) are found once, here, in one byte per face: bit k of
+    ``lower[i]`` is set when face i is a lower id of the k-th matching.
+    Each pair gets one row (``_pair_rows``) listing only the pairs that
+    hold the face of a matched pair, the only counts the heap loop reads.
+    A pair appears in a row as often as one of its faces lies in the row's
     face, so summed over the pairs in the complex it counts the cofacets of
     either of its faces.  Each ``run`` collapses onto a target and leaves
     the state there, so the next run continues from that target."""
@@ -211,12 +217,16 @@ class _CollapseState:
         table = simplices.table
         n = len(table.masks)
         self.current = simplices
+        self.partners = partners
         self.mirror = mirror = table.mirrors(complex_.h)
+        self.lower = lower = bytearray(n)
         # the lesser id of each face's pair, where the pair holds the face of
         # a matched pair; -1 elsewhere
         lesser = array("i", [-1]) * n
-        for partner in partners:
+        for k, partner in enumerate(partners):
+            bit = 1 << k
             for i in compress(range(n), map(gt, partner, range(n))):
+                lower[i] |= bit
                 m = mirror[i]
                 lesser[i] = p = i if m < 0 or i < m else m
                 if m >= 0:
@@ -230,38 +240,48 @@ class _CollapseState:
     def run(self, sub: AbstractSet[int], partner: array) -> CollapseCertificate:
         """``collapse`` from the current faces onto ``sub``, on ids:
         ``partner`` maps every matched id to its partner and holds -1
-        elsewhere, and must be one of the state's partner arrays.  Each pair
-        is checked once, at its lesser id (its face), by ascending id, then
-        the cover, then the heap loop runs on the lesser ids of mirror
-        pairs."""
+        elsewhere, and must be one of the state's partner arrays.  Its lower
+        ids are read from ``lower``, by ascending id.  Each mirror pair of
+        matched pairs is checked once, at its lesser lower id: the swap
+        gives the other pair's face/cofacet relation and its membership in
+        the swap-closed complex, and equivariance ties the two together.  A
+        lower id is skipped only when its mirror is a lower id already
+        checked, and then only its protection is read, so the first error
+        is the one a check of every pair by ascending face raises.  Then the
+        cover is checked, and the heap loop runs on the lesser ids of
+        mirror pairs."""
         simplices = self.current
         table = simplices.table
-        matched = len(partner) - partner.count(-1)
-        n = len(table.masks)
-        masks, mirror = table.masks, self.mirror
+        n, matched = len(table.masks), len(partner) - partner.count(-1)
+        masks, mirror, lower, counts = table.masks, self.mirror, self.lower, self.counts
+        bit = next(1 << k for k, p in enumerate(self.partners) if p is partner)
         inside = simplices.drawn(sub)
         known, protected = simplices.flags, inside.flags
-        lower = bytearray(n)
-        for ia in compress(range(n), map(gt, partner, range(n))):
-            ib = partner[ia]
-            a, b = masks[ia], masks[ib]
-            if a.bit_count() + 1 != b.bit_count() or a & ~b:
+        heap = []
+        for ia in compress(range(n), lower.translate(bytes(b & bit for b in range(256)))):
+            ib, ma = partner[ia], mirror[ia]
+            if 0 <= ma < ia and partner[ma] > ma:  # checked with its mirror pair
+                if protected[ia] or protected[ib]:
+                    raise ContractError("matching touches the protected subcomplex")
+                continue
+            x = masks[ia] ^ masks[ib]  # ids in mask order: masks[ia] < masks[ib]
+            if x & (x - 1):
                 raise ContractError("matching pair is not a face/cofacet pair")
             if not (known[ia] and known[ib]):
                 raise ContractError("matching pair uses unknown simplices")
             if protected[ia] or protected[ib]:
                 raise ContractError("matching touches the protected subcomplex")
-            ma = mirror[ia]
             if ma < 0 or partner[ma] < 0 or partner[ma] != mirror[ib]:
                 raise ContractError("matching is not equivariant")
-            lower[ia] = 1
+            # not skipped, and ma is a lower id (mirror[ib] is its partner): ia < ma
+            if counts[ia] == 1:
+                heap.append(ia)
         # every pair member lies in simplices - sub, so the sizes decide the cover
         covered = matched == len(simplices) - len(sub)
         if len(inside) != len(sub) or not inside <= simplices or not covered:
             raise ContractError("matching does not cover the simplices outside the subcomplex")
 
-        offsets, rows, alive, counts = self.offsets, self.rows, self.alive, self.counts
-        heap = [low for low in compress(range(n), lower) if low < mirror[low] and counts[low] == 1]
+        offsets, rows, alive = self.offsets, self.rows, self.alive
         heapq.heapify(heap)
         steps = array("i")
         while heap:
@@ -274,7 +294,7 @@ class _CollapseState:
                 alive[s] = alive[mirror[s]] = 0
                 for p in rows[offsets[s] : offsets[s + 1]]:
                     c = counts[p] = counts[p] - 1
-                    if c == 1 and lower[p] and alive[p]:
+                    if c == 1 and lower[p] & bit and alive[p]:
                         heapq.heappush(heap, p)
             steps.extend((low, up, mlow, mup))
 
@@ -382,14 +402,15 @@ class ShortcutComplex:
         return self._plain_simplices
 
     def offense_scan(self):
-        """The offense of a simplex from its two shores ``(lo, hi)``: why it
-        lies outside the unmodified box complex, as ``(phase, lead, shore)``,
-        or None when it lies inside; read from folds that belong to the
-        returned function.
+        """The offense of a face of the shortcut complex from its two
+        shores ``(lo, hi)`` and their ids as shore sets of the shortcut
+        table, -1 for an empty shore: why it lies outside the unmodified box
+        complex, as ``(phase, lead, shore)``, or None when it lies inside;
+        read from folds that belong to the returned function.
 
         A lead p offends on its own shore when its tail fails to join some
         subtail there, and across when it fails to join some tail on the
-        other shore; a position on both shores is read on the white one.
+        other shore; the swap is free, so a face's shores are disjoint.
         The leads offending on a shore set S are the union of the offender
         rows over S, one read: the same-shore unions are a list over the
         shore-set ids (``_shore_fold``) and the cross-shore ones, read only
@@ -397,18 +418,16 @@ class ShortcutComplex:
         least unsaturated same-shore lead gives phase 1; else the least
         same-shore lead, saturated, gives phase 2; else the least
         cross-shore lead gives phase 3."""
-        get = self.simplices.table.index.get
         same = _shore_fold(self, self.subtail_offenders, or_, 0)
         cross = Folded(self.tail_offenders, or_, 0)
         unsaturated = ~self.saturated_pos
 
-        def offense(lo: int, hi: int) -> tuple[int, int, int] | None:
-            black = hi & ~lo
-            if lead := (leads := lo & same[get(lo, -1)] | black & same[get(hi, -1)]) & unsaturated:
+        def offense(lo: int, hi: int, lo_id: int, hi_id: int) -> tuple[int, int, int] | None:
+            if lead := (leads := lo & same[lo_id] | hi & same[hi_id]) & unsaturated:
                 phase = 1
             elif lead := leads:
                 phase = 2
-            elif lead := lo & cross[hi] | black & cross[lo]:
+            elif lead := lo & cross[hi] | hi & cross[lo]:
                 phase = 3
             else:
                 return None
@@ -525,6 +544,13 @@ def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
     tail(r) <= CN(tail(p)); every subtail on p's shore lies in tail(r), so p
     has no same-shore offense and the simplex is not in phase 1.
 
+    The faces are scanned cube by cube (``boxcomplex._box_faces``), which
+    gives their shore-set ids: a face of block 0 is its own white shore,
+    with no black one, and the black shore of the face at offset j of a
+    lifted cube is the face at offset ``j >> |CN|`` of the same record's
+    cube in block 0.  Only a nonempty white shore of a lifted face is
+    looked up in ``index``.
+
     In a free complex a simplex and its mirror have the same leads, phase,
     lead position and tail, on swapped shores, so the mirror's toggle is
     the toggle's mirror: each mirror pair is scanned once, at its lesser id.
@@ -532,8 +558,8 @@ def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
     if not sc.box.free:
         raise ContractError("equivariant collapses need a free complex")
     table = sc.simplices.table
-    masks, get, mirror = table.masks, table.index.get, table.mirrors(sc.box.h)
     white, h, unsaturated = sc.box.white, sc.box.h, ~sc.saturated_pos
+    masks, get, starts, mirror = table.masks, table.index.get, table.starts, table.mirrors(h)
     offense = sc.offense_scan()
     everything = sc.g.vertex_mask()
     capped_mine = _shore_fold(sc, sc.cn_subtail, and_, everything)
@@ -541,26 +567,37 @@ def _phase_partners(sc: ShortcutComplex) -> list[Recipe]:
     replaced: dict[tuple[int, int], int] = {}  # (p, tail) -> position of the replacement
     phase_of = bytearray(len(masks))  # 0 until the face or its mirror is scanned
     partners = [array("i", [-1]) * len(masks) for _ in range(3)]
-    for i in (sc.simplices - sc.plain_box_simplices()).ids():
-        if phase_of[i]:
-            continue
-        s = masks[i]
-        lo, hi = s & white, s >> h
-        if (found := offense(lo, hi)) is None:
-            raise ContractError(f"extra simplex {s:#x} matches no phase")
-        phase, p, shore = found
-        mine, other = (hi, lo) if shore else (lo, hi)
-        if phase == 3:
-            tail = union_of(sc.subtail, other)
-        else:
-            tail = capped_mine[get(mine, -1)] & capped_other[other & unsaturated]
-        if (pos := replaced.get(key := (p, tail))) is None:
-            pos = replaced[key] = _replacement(sc, p, tail)
-        j = get(s ^ 1 << (pos + h if shore else pos), -1)  # the token of pos on the shore
-        m = mirror[i]
-        phase_of[i] = phase_of[m] = phase
-        partner = partners[phase - 1]
-        partner[i], partner[m] = j, mirror[j] if j >= 0 else -1
+    scanned = (sc.simplices - sc.plain_box_simplices()).flags
+    records = len(starts) // 2  # each record's cube in block 0, then lifted
+    for r in range(2 * records):
+        first, end = starts[r], starts[r + 1]
+        if lifted := r >= records:
+            shores = starts[r - records]  # the record's cube of black shores
+            width = (masks[end - 1] & white).bit_count()  # |CN|, the cube's lowest directions
+        for i in compress(range(first, end), scanned[first:end]):
+            if phase_of[i]:
+                continue
+            s = masks[i]
+            if lifted:
+                lo, hi = s & white, s >> h
+                lo_id, hi_id = get(lo) if lo else -1, shores + (i - first >> width)
+            else:
+                lo, hi, lo_id, hi_id = s, 0, i, -1
+            if (found := offense(lo, hi, lo_id, hi_id)) is None:
+                raise ContractError(f"extra simplex {s:#x} matches no phase")
+            phase, p, shore = found
+            mine, other = (hi_id, lo) if shore else (lo_id, hi)
+            if phase == 3:
+                tail = union_of(sc.subtail, other)
+            else:
+                tail = capped_mine[mine] & capped_other[other & unsaturated]
+            if (pos := replaced.get(key := (p, tail))) is None:
+                pos = replaced[key] = _replacement(sc, p, tail)
+            j = get(s ^ 1 << (pos + h if shore else pos), -1)  # the token of pos on the shore
+            m = mirror[i]
+            phase_of[i] = phase_of[m] = phase
+            partner = partners[phase - 1]
+            partner[i], partner[m] = j, mirror[j] if j >= 0 else -1
     recipes = []
     for phase, partner in enumerate(partners, 1):
         # 1 where the face is in this phase, else 0

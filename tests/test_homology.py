@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -288,3 +289,22 @@ def test_faces_behave_as_a_set():
     assert all(s in faces for s in plain) and 0 not in faces and (1 << 40) not in faces
     assert faces - (faces - some) == Faces.of(some)
     assert hash(rest) == hash(frozenset(rest))
+    # comparisons between sets of one table read the flags; between tables,
+    # and against plain sets, the members: both agree with frozenset
+    other = Faces.of(plain)
+    assert other.table is not faces.table
+    rng = random.Random(99)
+    drawn = [faces, rest, faces - rest, Faces.of(set()), other, other - some]
+    for _ in range(40):
+        drawn.append(faces.table.faces(s for s in plain if rng.random() < 0.8))
+        drawn.append(other.table.faces(s for s in plain if rng.random() < 0.8))
+    for a, b in itertools.product(drawn, repeat=2):
+        fa, fb = frozenset(a), frozenset(b)
+        got = (a <= b, a < b, a >= b, a > b, a == b, a != b)
+        assert got == (fa <= fb, fa < fb, fa >= fb, fa > fb, fa == fb, fa != fb)
+        assert (a <= fb, a == fb, fa <= b, fa == b) == (fa <= fb, fa == fb, fa <= fb, fa == fb)
+    # flags are read 8 KB at a time: a difference in the last chunk counts
+    big = Faces.of(range(1, 20_001))
+    most = big - {20_000}
+    assert most <= big and most < big and not big <= most and most != big
+    assert big - most == {20_000} and big.table.faces([5, 20_000]) - most == {20_000}

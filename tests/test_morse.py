@@ -436,6 +436,23 @@ def test_phase_scan_matches_the_per_face_reference(seeded_complexes, named_compl
     assert checked >= 150
 
 
+def test_phase_scan_matches_the_reference_on_relabelled_graphs(named_complex):
+    # the scan reads shore-set ids by cube offset; a relabelled base graph
+    # lays its cubes out differently, as the benchmark's relabelled inputs do
+    # (a relabelled clique is the same graph, and so the same layout)
+    rng = random.Random(1729)
+    for name, k in (("Petersen", 1), ("Petersen", 1), ("K4", 1), ("K4", 3)):
+        g = GRAPHS[name]
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        sc = ShortcutComplex(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]), k)
+        got, expect = _phase_partners(sc), phase_partners_reference(sc)
+        for (domain, partner), (domain_ref, partner_ref) in zip(got, expect, strict=True):
+            assert domain.flags == domain_ref.flags and partner == partner_ref
+        if name == "Petersen":
+            assert sc.simplices.table.starts != named_complex(name, k).simplices.table.starts
+
+
 def test_carried_phases_match_collapses_from_scratch(seeded_complexes, named_complex):
     # each phase, run on the state the last one left, gives the certificate
     # of a collapse on masks started afresh from that phase's faces
@@ -503,6 +520,108 @@ def test_a_spoiled_phase_2_fails_as_a_collapse_from_scratch(seeded_complexes, mo
         "matching is not equivariant",
         "matching does not cover the simplices outside the subcomplex",
     }
+
+
+def _spoil_a_greater_pair(table, partner, mirror, target, kind, rng):
+    """Spoil only greater pairs, those whose face is the greater id of its
+    mirror pair: two of them swap their cofacets (kind 0); one is dropped,
+    so the face of its mirror pair is a lower id whose mirror is not one
+    (1); one's face is matched down to an unmatched face x of it, a lower
+    id whose mirror is not one, and its cofacet is left over (2); one's
+    face is left in the target (3); or a face x of the target, with its
+    mirror below it, is matched to a cofacet of it in the target and both
+    leave the target, so x is a lower id whose mirror, left in the target,
+    is not one (4).  ``target`` holds the target's ids.  Returns the
+    partner array and the sets of masks moved into the target and out of
+    it, or None when there is no such pair."""
+    greater = [(a, b) for a, b in _pairs_by_lesser_id(partner) if mirror[a] < a]
+    partner, kept, freed = array("i", partner), set(), set()
+    if kind == 0 and len(greater) >= 2:
+        (a, b), (c, d) = rng.sample(greater, 2)
+        partner[a], partner[d], partner[c], partner[b] = d, a, b, c
+    elif kind == 1 and greater:
+        a, b = rng.choice(greater)
+        partner[a] = partner[b] = -1
+    elif kind == 2 and (downs := [
+        (a, b, x)
+        for a, b in greater
+        for t in bits(table.masks[a])
+        if (x := table.index.get(table.masks[a] ^ 1 << t, -1)) >= 0 and partner[x] < 0
+        and partner[mirror[x]] < 0
+    ]):
+        a, b, x = rng.choice(downs)
+        partner[x], partner[a], partner[b] = a, x, -1
+    elif kind == 3 and greater:
+        kept.add(table.masks[rng.choice(greater)[0]])
+    elif kind == 4 and (ups := [
+        (x, y)
+        for y in sorted(target)
+        for t in bits(table.masks[y])
+        if (x := table.index.get(table.masks[y] ^ 1 << t, -1)) in target and mirror[x] < x
+    ]):
+        x, y = rng.choice(ups)
+        partner[x], partner[y] = y, x
+        freed |= {table.masks[x], table.masks[y]}
+    else:
+        return None
+    return partner, kept, freed
+
+
+def test_a_spoiled_greater_pair_raises_the_first_error_of_the_mask_reference(
+    seeded_complexes, monkeypatch
+):
+    # each mirror pair of matched pairs is checked once, at its lesser face;
+    # spoiling only the other pair must still raise the error a check of
+    # every pair by ascending face raises, in phase 1 through
+    # shortcut_collapses and in a plain collapse call
+    rng = random.Random(4141)
+    messages = {"phase 1": set(), "collapse": set()}
+    spoiled_count = 0
+    for sc in seeded_complexes:
+        table, mirror = sc.simplices.table, sc.simplices.table.mirrors(sc.box.h)
+        recipes = _phase_partners(sc)
+        target = set((sc.simplices - recipes[0][0]).ids())
+        spoil = _spoil_a_greater_pair(table, recipes[0][1], mirror, target, spoiled_count % 5, rng)
+        if spoil is None:
+            continue
+        partner, kept, freed = spoil
+        domain = recipes[0][0] - kept | freed
+        pairs = [(table.masks[a], table.masks[b]) for a, b in _pairs_by_lesser_id(partner)]
+        faces = set(sc.simplices)
+        expect = collapse_by_masks(sc.box, faces, faces - domain, MorseMatching(tuple(pairs)))
+        assert isinstance(expect, str)
+        spoiled = [(domain, partner), *recipes[1:]]
+        monkeypatch.setattr(morse, "_phase_partners", lambda sc, spoiled=spoiled: spoiled)
+        with pytest.raises(ContractError) as err:
+            shortcut_collapses(sc)
+        monkeypatch.undo()
+        assert str(err.value).split(";")[0] == expect
+        messages["phase 1"].add(expect)
+        spoiled_count += 1
+    for trial in range(300):
+        k = random_free_complex(rng, max_shore=6)
+        matching, sub = random_collapse_matching(rng, k)
+        faces = Faces.of(set(k.simplices()))
+        table, mirror = faces.table, faces.table.mirrors(k.h)
+        partner = array("i", [-1]) * len(table.masks)
+        for s, t in matching.pairs:
+            partner[table.index[s]], partner[table.index[t]] = table.index[t], table.index[s]
+        target = {table.index[s] for s in sub}
+        if (spoil := _spoil_a_greater_pair(table, partner, mirror, target, trial % 5, rng)) is None:
+            continue
+        partner, kept, freed = spoil
+        pairs = [(table.masks[a], table.masks[b]) for a, b in _pairs_by_lesser_id(partner)]
+        matching = MorseMatching(tuple(pairs))
+        expect = collapse_by_masks(k, faces, (sub | kept) - freed, matching)
+        assert isinstance(expect, str)
+        assert _outcome(k, faces, (sub | kept) - freed, matching) == expect
+        messages["collapse"].add(expect)
+    assert spoiled_count >= 30
+    for found in messages.values():
+        assert {m.split(":")[0] for m in found} >= {
+            "matching is not equivariant",
+            "matching touches the protected subcomplex",
+        }
 
 
 def test_facet_certificate_matches_the_face_level_collapse(seeded_complexes, named_complex):
@@ -689,10 +808,12 @@ def test_betti_of_the_petersen_table_builds_few_columns(named_complex):
 
 
 def test_petersen_collapses_stay_within_their_memory(named_complex):
-    # the collapses run on mirror pairs, with rows only for matched faces and
-    # steps kept as ids, and the scan folds its shore sets into lists by id:
-    # about 8.6 MB of traced peak here, against 9.3 MB with folded memos and
-    # 16 MB for full boundaries and mask-pair steps
+    # the collapses run on mirror pairs, with rows only for matched faces,
+    # steps kept as ids and every matching's lower ids in one byte per face;
+    # the scan folds its shore sets into lists by id, and a face set's `-`
+    # reads its flags 8 KB at a time: about 8.2 MB of traced peak here,
+    # against 8.6 MB with whole-table ints for `-`, 9.3 MB with folded memos
+    # and 16 MB for full boundaries and mask-pair steps
     sc = named_complex("Petersen", 1)
     gc.collect()
     tracemalloc.start()

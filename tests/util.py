@@ -308,7 +308,9 @@ def offense(sc, mask: int) -> tuple[int, int, int] | None:
     complex, for as long as the complex lives."""
     if (scan := _offense_scans.get(sc)) is None:
         scan = _offense_scans[sc] = sc.offense_scan()
-    return scan(*sc.box.split(mask))
+    lo, hi = sc.box.split(mask)
+    get = sc.simplices.table.index.get
+    return scan(lo, hi, get(lo, -1), get(hi, -1))
 
 
 def offense_oracle(sc, mask: int):
