@@ -58,7 +58,7 @@ class FaceTable:
     ):
         self.masks = masks if isinstance(masks, list) else list(masks)  # distinct
         self.masks.sort()  # one pass when sorted already
-        self.index = {m: i for i, m in enumerate(self.masks)}
+        self.index = dict(zip(self.masks, range(len(self.masks))))
         self.closed = closed
         self.starts = starts
         self._mirrors: tuple[int, array] | None = None
@@ -325,15 +325,20 @@ def make_complex(base, facets) -> Z2Complex:
     return out
 
 
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
+
+
 def _facet_order(facets: list[int]) -> tuple[int, ...]:
     """An antichain of facets in the order of their ascending token lists.
     That is the descending order of their masks with the bits reversed
     within one width: the lowest token where two facets differ is in the
     earlier, and no facet's tokens are a prefix of another's, as no facet
-    contains another.  The keys are ints, 1 bit per token of width, where
-    strings would take a byte."""
-    top = 1 << max(facets, default=0).bit_length()
-    return tuple(sorted(facets, key=lambda m: int(bin(m | top)[:2:-1], 2), reverse=True))
+    contains another.  The keys are the masks' little-endian bytes at one
+    width with each byte's bits reversed, compared as bytes."""
+    width = (max(facets, default=0).bit_length() + 7) // 8
+    return tuple(
+        sorted(facets, key=lambda m: m.to_bytes(width, "little").translate(_REVERSED), reverse=True)
+    )
 
 
 def _maximal(masks) -> list[int]:

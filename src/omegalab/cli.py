@@ -74,10 +74,10 @@ def functor(kind, index, infile, outfile):
         out = subdivide(g, index).graph
     elif kind == "pi":
         out = walk_power(g, index)
-    elif kind == "omega":
-        out = omega(g, index).graph
     else:
-        out = omega_prime(g, index).graph
+        res = (omega if kind == "omega" else omega_prime)(g, index)
+        # omega(g, 1) is g as read; a deeper adjoint is labelled by its tuples
+        out = res.graph if index == 1 else res.graph.with_labels(res.labels)
     with open(outfile, "w", encoding="utf-8") as fh:
         fh.write(format_graph(out))
     click.echo(f"{kind}_{index}: {out.n} vertices, {out.edge_count()} edges")

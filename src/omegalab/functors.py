@@ -12,7 +12,10 @@ A result holds only what defines it.  ``subdivide`` returns a
 vertices, and the k-1 interior vertices of the e-th edge of
 ``base.edges()`` are n + e(k-1) + pos - 1, pos = 1..k-1 counted from the
 edge's lesser end.  ``omega``, ``omega_prime`` and ``shortcut`` return an
-``Adjoint``, whose ``tuples[i]`` is the tuple behind vertex i.
+``Adjoint``, whose ``tuples[i]`` is the tuple behind vertex i.  Above
+index 1 its graph carries no labels: a tuple's label (``omega_label``) is
+made only when ``Adjoint.labels`` is read, as the CLI does when it writes
+the graph.
 
 Tuple components are stored as int bitmasks over the base graph.  A tuple
 (A_0, ..., A_l) requires A_0 to be a singleton, every component nonempty,
@@ -96,7 +99,9 @@ class Subdivision:
 class Adjoint:
     """The right adjoint omega(base, k), or its shortcut extension:
     ``tuples[i]`` is the component tuple behind vertex i of ``graph``, and
-    ``index_of`` inverts it from a dict built on its first call."""
+    ``index_of`` inverts it from a dict built on its first call.  ``graph``
+    has no labels (at k = 1 it is ``base`` as given); ``labels`` names
+    every vertex by its tuple's ``omega_label``, made on its first read."""
 
     graph: Graph
     k: int
@@ -109,6 +114,10 @@ class Adjoint:
 
     def index_of(self, tup: OmegaTuple) -> int:
         return self._index[tup]
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(omega_label, self.tuples))
 
 
 def _require_odd(k: int, minimum: int = 1) -> None:
@@ -215,8 +224,7 @@ def omega(g: Graph, k: int, vertex_budget: int = DEFAULT_BUDGETS.vertex_budget) 
             if prefix:
                 prefix[-1] = (prefix[-1] - pools[-1]) & pools[-1]
 
-    labels = tuple(omega_label(t) for t in tuples)
-    graph = Graph(len(tuples), _omega_rows(g, tuples, depth), labels)
+    graph = Graph(len(tuples), _omega_rows(g, tuples, depth))
     return Adjoint(graph, k, g, tuple(tuples))
 
 
@@ -324,8 +332,7 @@ def shortcut(base: Adjoint, sat: list[int]) -> Adjoint:
             for x, y in ((i, sat[j]), (sat[i], j), (sat[i], sat[j])):
                 rows[x] |= 1 << y
                 rows[y] |= 1 << x
-    graph = Graph(base.graph.n, tuple(rows), base.graph.labels)
-    return Adjoint(graph, base.k, base.base, base.tuples)
+    return Adjoint(Graph(base.graph.n, tuple(rows)), base.k, base.base, base.tuples)
 
 
 def saturation_indices(g: Graph, res: Adjoint) -> list[int]:

@@ -22,7 +22,13 @@ from omegalab.errors import ParameterError, ParseError, ResourceError
 from omegalab.functors import Homomorphism, base_projection, omega
 from omegalab.graphs import Graph, biclique, clique, common_neighborhood, cycle_graph, path_graph
 
-from util import box_facets_oracle, check_against_boundary_reference, faces_oracle, random_graph
+from util import (
+    box_facets_oracle,
+    check_against_boundary_reference,
+    faces_oracle,
+    facet_order_reference,
+    random_graph,
+)
 
 
 def test_box_of_k2():
@@ -324,6 +330,29 @@ def test_facet_order_is_the_order_of_token_lists():
         masks = [rng.getrandbits(width) for _ in range(rng.randint(1, 10))]
         antichain = _maximal(list(set(masks) - {0}))
         assert _facet_order(antichain) == tuple(sorted(antichain, key=lambda m: tuple(bits(m))))
+
+
+def test_facet_order_matches_the_string_reversal_reference():
+    # the byte keys pad a width that is not a multiple of 8 with low zero
+    # bits, which keeps the order; the top bit is set in one mask of half the
+    # lists so that every width from 1 to 70 bits occurs exactly
+    rng = random.Random(2929)
+    assert _facet_order([]) == facet_order_reference([]) == ()
+    assert _facet_order([0b1011]) == facet_order_reference([0b1011]) == (0b1011,)
+    widths = set()
+    for i in range(4000):
+        width = rng.randint(1, 70)
+        masks = [rng.randint(1, (1 << width) - 1) for _ in range(rng.randint(1, 12))]
+        if i % 2:
+            masks[rng.randrange(len(masks))] |= 1 << (width - 1)
+            widths.add(width)
+        assert _facet_order(masks) == facet_order_reference(masks), masks
+    assert widths == set(range(1, 71))
+    rng = random.Random(2718)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.9), rng.choice((0.0, 0.2)))
+        facets = build_box(g).facets
+        assert facets == facet_order_reference(list(facets))
 
 
 @st.composite

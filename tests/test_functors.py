@@ -347,8 +347,28 @@ def test_omega_labels_match_tuple_grammar():
     o = omega(clique(4), 3)
     assert omega_label((mask_of([1]), mask_of([2, 3]))) == "1{2 3}"
     assert omega_label((mask_of([0]), mask_of([1]), mask_of([0, 2]))) == "0{1}|{0 2}"
-    labels = set(o.graph.labels)
+    labels = set(o.labels)
     assert "0{1 2 3}" in labels and "1{0}" in labels
+
+
+def test_adjoint_labels_are_made_only_when_read(monkeypatch):
+    # omega and shortcut build graphs without labels; an Adjoint names its
+    # vertices by omega_label on the first read of ``labels``
+    import omegalab.functors
+
+    made = []
+    monkeypatch.setattr(omegalab.functors, "omega_label", lambda t: made.append(t) or omega_label(t))
+    for g, k in [(clique(4), 3), (petersen(), 5), (LOOPED, 5), (cycle_graph(5), 7)]:
+        made.clear()
+        o = omega(g, k)
+        prime = omega_prime(g, k)
+        assert o.graph.labels is None and prime.graph.labels is None and not made
+        assert o.labels == tuple(omega_label(t) for t in o.tuples)
+        assert len(set(o.labels)) == o.graph.n and len(made) == o.graph.n
+        assert o.labels is o.labels  # made once
+        assert prime.labels == o.labels
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], ["a", "b", "c"])
+    assert omega(g, 1).graph is g  # index 1 returns the input, labels and all
 
 
 def test_projection_examples():

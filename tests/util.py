@@ -451,6 +451,13 @@ def same_adjacency(g: Graph, h: Graph) -> bool:
     return g.n == h.n and g.adj == h.adj
 
 
+def facet_order_reference(facets: list[int]) -> tuple[int, ...]:
+    """``boxcomplex._facet_order`` on string keys: each mask's bits reversed
+    within one width through its binary string, descending."""
+    top = 1 << max(facets, default=0).bit_length()
+    return tuple(sorted(facets, key=lambda m: int(bin(m | top)[:2:-1], 2), reverse=True))
+
+
 def euler_of_complex(k: Z2Complex) -> int:
     return euler_characteristic(k.simplices())
 
