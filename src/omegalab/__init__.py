@@ -42,6 +42,7 @@ from .functors import (
     subdivide,
     subdivision_embedding,
     squarefree_retraction,
+    truncate_projection,
     walk_power,
 )
 from .homsearch import (

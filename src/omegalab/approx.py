@@ -122,6 +122,8 @@ def max_facet_diameter_sq(amap: ApproxMap) -> Fraction:
 
 
 def diameter_bound(g: Graph, k: int) -> Fraction:
+    if k < 1:
+        raise ParameterError("half index must be >= 1")
     return Fraction(6 * max_degree(g), k)
 
 

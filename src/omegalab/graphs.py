@@ -126,6 +126,8 @@ def biclique(n: int, m: int) -> Graph:
 
 
 def circular_clique(p: int, q: int) -> Graph:
+    if q < 1:
+        raise ParameterError(f"circular clique needs q >= 1, got {q}")
     if p < 2 * q:
         raise ParameterError(f"circular clique needs p/q >= 2, got {p}/{q}")
     edges = [(i, (i + j) % p) for i in range(p) for j in range(q, p - q + 1)]

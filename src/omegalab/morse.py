@@ -20,8 +20,9 @@ signal, not an expected runtime event.
 
 The saturation collapse is a strong collapse (Barmak and Minian, DCG 2012):
 each unsaturated token is dominated by its saturated partner's token on the
-same shore, so ``SaturationCollapse`` certifies it on the facets and builds
-the face-level steps only when they are read.
+same shore, so ``SaturationCollapse`` certifies it on the graph, one
+domination test N'(u) within N'(sat u) per unsaturated position on the box
+complex's rows, and builds the face-level steps only when they are read.
 
 Both recipes, their collapses and the shortcut complex's Betti vector read
 one face table (``boxcomplex.FaceTable``), built once per shortcut complex:
@@ -621,32 +622,34 @@ def _replacement(sc: ShortcutComplex, p: int, tail: int) -> int:
 
 class SaturationCollapse:
     """Lemma 5.2's collapse of the shortcut complex onto its saturated
-    image, certified on the facets.
+    image, certified on the graph.
 
-    Every unsaturated position's partner must be a saturated position, and
-    every facet that holds an unsaturated token must hold its partner's
-    token on the same shore.  Each unsaturated token is then dominated, and
-    deleting it with its mirror is an equivariant strong collapse; partners
-    are never deleted, so the dominations stay valid.  ``remaining`` is the
-    faces with no unsaturated token; the collapse pairs the others, in
-    ``step_count`` steps, half their number.  ``steps`` collapses the
-    saturation matching onto ``remaining`` on ids on first read; that
-    collapse refuses to end anywhere else, and takes one step per pair.
+    Every unsaturated position p's partner q must be saturated and dominate
+    p, N'(p) within N'(q): one test on the box complex's rows.  That is the
+    facet test, every facet holding p's token holds q's on the same shore.
+    A facet's shores are closed, so p in a shore S gives CN(S) within N'(p)
+    within N'(q), hence q in CN(CN(S)) = S; and the facet of the closed set
+    CN(N'(p)) holds p, so it holds q, hence N'(p) within N'(q).  Each
+    unsaturated token is then dominated, and deleting it with its mirror is
+    an equivariant strong collapse; partners are never deleted, so the
+    dominations stay valid.  ``remaining`` is the faces with no unsaturated
+    token; the collapse pairs the others, in ``step_count`` steps, half
+    their number.  ``steps`` collapses the saturation matching onto
+    ``remaining`` on ids on first read; that collapse refuses to end
+    anywhere else, and takes one step per pair.
     """
 
     def __init__(self, sc: ShortcutComplex):
-        box, saturated = sc.box, sc.saturated_pos
+        box, saturated, rows = sc.box, sc.saturated_pos, sc.box.rows
         if not box.free:
             raise ContractError("equivariant collapses need a free complex")
         unsaturated = box.white & ~saturated
         for p in bits(unsaturated):
-            if not saturated >> sc.sat_token[p] & 1:  # so also not p itself
+            q = sc.sat_token[p]
+            if not saturated >> q & 1:  # so also not p itself
                 raise ContractError(f"position {p} has no saturated partner")
-        partner_bit = [1 << q for q in sc.sat_token]
-        for f in box.facets:
-            for shore in box.split(f):
-                if union_of(partner_bit, shore & unsaturated) & ~shore:
-                    raise ContractError(f"facet {f:#x} does not hold a saturated partner")
+            if rows[p] & ~rows[q]:
+                raise ContractError(f"position {p} is not dominated by its saturated partner {q}")
         outside = unsaturated | box.mirror(unsaturated)
         table = sc.simplices.table
         self.sc = sc

@@ -16,7 +16,7 @@ from omegalab.approx import (
 )
 from omegalab.bitset import bits
 from omegalab.boxcomplex import build_box
-from omegalab.errors import PreconditionError, ResourceError
+from omegalab.errors import ParameterError, PreconditionError, ResourceError
 from omegalab.graphs import Graph, clique, cycle_graph, path_graph
 
 from util import approx_points_oracle, image_diameter_sq_oracle, small_graph
@@ -109,6 +109,16 @@ def test_diameter_trend_is_nonincreasing_for_c5():
     # refines the image
     values = [max_facet_diameter_sq(build_approx_map(cycle_graph(5), k)) for k in (1, 2, 3)]
     assert values == sorted(values, reverse=True)
+
+
+def test_diameter_bound_refuses_a_half_index_below_one():
+    # as build_approx_map does: 6D/k has no meaning at k = 0 or below
+    for k in (0, -2):
+        with pytest.raises(ParameterError, match="half index must be >= 1"):
+            diameter_bound(clique(3), k)
+        with pytest.raises(ParameterError, match="half index must be >= 1"):
+            build_approx_map(clique(3), k)
+    assert diameter_bound(clique(3), 1) == 12
 
 
 def test_loops_rejected():

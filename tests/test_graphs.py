@@ -11,6 +11,7 @@ from omegalab.errors import ParameterError, ParseError, ResourceError
 from omegalab.functors import omega
 from omegalab.graphs import (
     Graph,
+    circular_clique,
     clique,
     common_neighborhood,
     cycle_graph,
@@ -47,6 +48,14 @@ def test_family_parameter_errors():
         make_family("path", 0)
     with pytest.raises(ParameterError):
         make_family("nonsense", 3)
+
+
+def test_circular_clique_refuses_q_below_one():
+    # q = 0 would join every vertex to itself: K_p with a loop at each vertex
+    for q in (0, -1):
+        with pytest.raises(ParameterError, match="q >= 1"):
+            circular_clique(5, q)
+    assert not circular_clique(5, 1).has_loops()
 
 
 def test_common_neighborhood_examples():

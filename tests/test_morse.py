@@ -44,6 +44,7 @@ from util import (
     random_equivariant_matching,
     random_free_complex,
     random_graph,
+    saturation_facet_reference,
 )
 
 
@@ -345,8 +346,8 @@ def _seeded_shortcut_complexes():
 
 
 # The tests below share their complexes through these module-scoped fixtures;
-# none of them changes a complex it is given (the one test that points a
-# partner elsewhere builds its own).
+# none of them leaves a complex it is given changed (the test that points
+# partners elsewhere restores each one).
 
 
 @pytest.fixture(scope="module")
@@ -658,12 +659,47 @@ def test_facet_certificate_refuses_a_wrong_partner():
     assert undominating
     for wrong in undominating:
         sc.sat_token[p] = wrong
-        with pytest.raises(ContractError, match="does not hold a saturated partner"):
+        with pytest.raises(ContractError, match=f"position {p} is not dominated by"):
             shortcut_collapses(sc)
     sc.sat_token[p] = right
     saturation, _ = shortcut_collapses(sc)
     matching, sub = saturation_matching(sc)
     assert saturation.steps == collapse(sc.box, sc.simplices, sub, matching).steps
+
+
+def test_domination_certificate_refuses_what_the_facet_scan_refuses(
+    seeded_complexes, named_complex
+):
+    # every unsaturated position p's partner pointed at every other position
+    # in turn, its own partner included: the graph check refuses exactly the
+    # partners the facet scan refuses, with the same message where no
+    # saturated partner is named; each partner is restored, so the shared
+    # complexes stay as given
+    refused = accepted = 0
+    for sc in [*seeded_complexes, named_complex("K4", 1)]:
+        for p in bits(sc.box.white & ~sc.saturated_pos):
+            right = sc.sat_token[p]
+            try:
+                for q in range(sc.box.h):
+                    if q == p:
+                        continue
+                    sc.sat_token[p] = q
+                    expect = saturation_facet_reference(sc)
+                    try:
+                        SaturationCollapse(sc)
+                    except ContractError as e:
+                        assert expect is not None, (p, q)
+                        if "no saturated partner" in expect:
+                            assert str(e) == expect
+                        else:
+                            assert str(e) == f"position {p} is not dominated by its saturated partner {q}"
+                        refused += 1
+                    else:
+                        assert expect is None, (p, q)
+                        accepted += 1
+            finally:
+                sc.sat_token[p] = right
+    assert refused >= 10_000 and accepted >= 500
 
 
 def test_shortcut_collapses_leave_no_reference_cycle():

@@ -366,6 +366,24 @@ def capped_tail_reference(sc, mine: int, unsaturated: int) -> int:
     return common_neighborhood(sc.g, union_of(sc.subtail, mine) | union_of(sc.tail, unsaturated))
 
 
+def saturation_facet_reference(sc) -> str | None:
+    """Reference for ``morse.SaturationCollapse``'s certificate, read on the
+    facets: every unsaturated position's partner is a saturated position,
+    and every facet that holds an unsaturated token holds its partner's
+    token on the same shore.  Returns the first refusal, or None."""
+    box, saturated = sc.box, sc.saturated_pos
+    unsaturated = box.white & ~saturated
+    for p in bits(unsaturated):
+        if not saturated >> sc.sat_token[p] & 1:
+            return f"position {p} has no saturated partner"
+    partner_bit = [1 << q for q in sc.sat_token]
+    for f in box.facets:
+        for shore in box.split(f):
+            if union_of(partner_bit, shore & unsaturated) & ~shore:
+                return f"facet {f:#x} does not hold a saturated partner"
+    return None
+
+
 def collapse_by_masks(k: Z2Complex, simplices, sub, matching: MorseMatching):
     """Reference for ``morse.collapse``: the same checks and the same heap
     loop on masks, with dicts and sets in place of the face table.  Returns
