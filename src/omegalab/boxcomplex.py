@@ -19,9 +19,11 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
+from operator import or_
 
-from .bitset import bits, holders, mask_of
+from .bitset import bits, holders, mask_of, union_of
 from .errors import DEFAULT_BUDGETS, ContractError, ParameterError, ParseError, ResourceError, ints, records
 from .functors import Homomorphism
 from .graphs import Graph
@@ -220,8 +222,9 @@ class Z2Complex:
 
     @property
     def free(self) -> bool:
-        """True iff the swap fixes no face: no facet meets its mirror."""
-        return all(f & self.mirror(f) == 0 for f in self.facets)
+        """True iff the swap fixes no face: no facet holds both copies of a position."""
+        h, white = self.h, self.white
+        return not any(f & white & f >> h for f in self.facets)
 
     @property
     def token_count(self) -> int:
@@ -362,6 +365,9 @@ def build_box(g: Graph) -> Z2Complex:
     CN(A).  The swap action is free exactly when g has no loops.  The
     complex keeps the adjacency over its positions, which its closed sets
     are folded from and its faces listed from (``Z2Complex.simplices``).
+    The closed sets are the meets of rows; those within row i are the
+    closure under & of r_i and its traces r_j & r_i on the earlier rows j
+    that meet it (``_closed_sets``).
 
     The facets need no ``validate``: A within B forces CN(B) within CN(A),
     so of two nested facets the shores are equal, and (CN(A), A) is the
@@ -381,11 +387,24 @@ def build_box(g: Graph) -> Z2Complex:
 
 
 def _closed_sets(rows: tuple[int, ...]) -> set[int]:
-    """All Galois-closed position sets A = CN(CN(A)).  These are exactly the
-    intersections of rows, all positions being the empty intersection."""
+    """All nonempty Galois-closed position sets A = CN(CN(A)), and perhaps
+    the empty set.  These are exactly the intersections of rows, all
+    positions being the empty intersection.
+
+    Row i adds to the family F of the earlier rows' meets the sets a & r_i
+    for a in F.  Each a is the full set or a meet of earlier rows, so those
+    sets are the closure under & of r_i and its traces r_j & r_i, j < i.
+    Only a row j that meets r_i, a position adjacent to one of r_i's (the
+    rows are an adjacency), leaves a nonempty trace; the traces are taken
+    largest first, and one already in the closure adds nothing."""
     family = {(1 << len(rows)) - 1}
-    for row in rows:
-        family |= {a & row for a in family}
+    for i, row in enumerate(rows):
+        traces = {rows[j] & row for j in bits(union_of(rows, row) & ((1 << i) - 1))}
+        ideal = {row}
+        for t in sorted(traces, key=int.bit_count, reverse=True):
+            if t not in ideal:
+                ideal |= {a & t for a in ideal}
+        family |= ideal
     return family
 
 
@@ -516,8 +535,9 @@ def format_complex(k: Z2Complex) -> str:
     for t in range(k.token_count):
         v, shore = k.token_name(t)
         lines.append(f"n {t} {v} {shore}")
+    names = list(map(str, range(k.token_count)))
     for f in k.facets:
-        lines.append("f " + " ".join(str(t) for t in bits(f)))
+        lines.append("f " + " ".join(map(names.__getitem__, bits(f))))
     return "\n".join(lines) + "\n"
 
 
@@ -551,7 +571,7 @@ def parse_complex(text: str) -> Z2Complex:
             ids = ints(parts[1:], "facet ids must be integers", lineno)
             if not ids:
                 raise ParseError("facet line must list at least one token", lineno)
-            if any(not 0 <= t < count for t in ids):
+            if min(ids) < 0 or max(ids) >= count:
                 raise ParseError("facet token id out of range", lineno)
             facet_rows.append(ids)
         else:
@@ -570,8 +590,8 @@ def parse_complex(text: str) -> Z2Complex:
         raise ParseError("duplicate (graph-vertex, shore) token")
     h = len(whites)
     index = {gv: i for i, gv in enumerate(whites)}
-    new_pos = {}
+    bit = [0] * count  # token id -> its bit in the half-shift layout
     for tid, (gv, shore) in tokens.items():
-        new_pos[tid] = index[gv] if shore == "+" else h + index[gv]
-    facets = [mask_of(new_pos[t] for t in ids) for ids in facet_rows]
+        bit[tid] = 1 << (index[gv] if shore == "+" else h + index[gv])
+    facets = [reduce(or_, map(bit.__getitem__, ids)) for ids in facet_rows]
     return make_complex(tuple(whites), facets)

@@ -320,14 +320,14 @@ def _pair_rows(simplices: Faces, mirror: array, lesser: array) -> tuple[array, a
     them is one-face cubes).  Face i, at offset j of its cube, drops each
     direction it holds, set bit ``low`` of j, onto the face at id
     ``i - low`` of the same cube, and only the drops of its cube's first
-    face's tokens are looked up in ``index``; the directions lie below
-    those tokens, so their drops come first."""
+    face's tokens, read once per cube, are looked up in ``index``; the
+    directions lie below those tokens, so their drops come first."""
     table = simplices.table
     masks, get, flags = table.masks, table.index.get, simplices.flags
     starts = table.starts or range(len(masks) + 1)
     offsets, rows = array("i", [0]), array("i")
     for first, end in zip(starts, starts[1:]):
-        base = masks[first]
+        lows = [1 << t for t in bits(masks[first])]
         for i in range(first, end):
             if flags[i] and mirror[i] > i:
                 j = i - first
@@ -337,12 +337,10 @@ def _pair_rows(simplices: Faces, mirror: array, lesser: array) -> tuple[array, a
                     if (p := lesser[i - low]) >= 0:
                         rows.append(p)
                 s = masks[i]
-                m = base if s & (s - 1) else 0  # a vertex has no face
-                while m:
-                    low = m & -m
-                    m ^= low
-                    if (f := get(s ^ low)) is not None and (p := lesser[f]) >= 0:
-                        rows.append(p)
+                if s & (s - 1):  # a vertex has no face
+                    for low in lows:
+                        if (f := get(s ^ low)) is not None and (p := lesser[f]) >= 0:
+                            rows.append(p)
             offsets.append(len(rows))
     return offsets, rows
 

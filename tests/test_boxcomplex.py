@@ -10,6 +10,7 @@ from omegalab.boxcomplex import (
     Faces,
     FaceTable,
     Z2Complex,
+    _closed_sets,
     _facet_order,
     _maximal,
     build_box,
@@ -19,12 +20,13 @@ from omegalab.boxcomplex import (
     parse_complex,
 )
 from omegalab.errors import ParameterError, ParseError, ResourceError
-from omegalab.functors import Homomorphism, base_projection, omega
-from omegalab.graphs import Graph, biclique, clique, common_neighborhood, cycle_graph, path_graph
+from omegalab.functors import Homomorphism, base_projection, omega, saturation_indices, shortcut
+from omegalab.graphs import Graph, biclique, clique, common_neighborhood, cycle_graph, path_graph, petersen
 
 from util import (
     box_facets_oracle,
     check_against_boundary_reference,
+    closed_sets_reference,
     faces_oracle,
     facet_order_reference,
     random_graph,
@@ -79,6 +81,23 @@ def test_facets_match_closed_set_oracle():
         box = build_box(g)
         assert set(box.facets) == box_facets_oracle(g)
         box.validate()  # an antichain, swap-symmetric, by construction
+
+
+def test_closed_sets_match_the_plain_fold():
+    # the empty set may be in either family or in neither: build_box drops it
+    rng = random.Random(1618)
+    graphs = []
+    for _ in range(400):
+        p = rng.uniform(0.05, 0.9)
+        n = rng.randint(1, 40 if p < 0.5 else 18)  # a dense graph has up to 2^n closed sets
+        graphs.append(random_graph(rng, n, p, loop_p=rng.choice((0.0, 0.1))))
+    for g, k in ((clique(5), 3), (clique(4), 7), (clique(6), 3)):
+        graphs.append(omega(g, k).graph)
+    for g in (clique(4), petersen()):
+        o = omega(g, 3)
+        graphs.append(shortcut(o, saturation_indices(g, o)).graph)
+    for g in graphs:
+        assert _closed_sets(g.adj) - {0} == closed_sets_reference(g.adj) - {0}
 
 
 def test_membership():
@@ -168,6 +187,7 @@ def test_parse_complex_normalizes_foreign_layout():
     k = parse_complex(text)
     assert k.base == (7, 9)
     assert set(k.facets) == {0b1001, 0b0110}
+    assert parse_complex(text.replace("f 3 1", "f 3 1 3")) == k  # a repeated id is one token
     assert format_complex(parse_complex(format_complex(k))) == format_complex(k)
 
 

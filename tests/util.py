@@ -476,6 +476,15 @@ def facet_order_reference(facets: list[int]) -> tuple[int, ...]:
     return tuple(sorted(facets, key=lambda m: int(bin(m | top)[:2:-1], 2), reverse=True))
 
 
+def closed_sets_reference(rows) -> set[int]:
+    """``boxcomplex._closed_sets`` as the plain fold: every member of the
+    family so far meets each row in turn, starting from all positions."""
+    family = {(1 << len(rows)) - 1}
+    for row in rows:
+        family |= {a & row for a in family}
+    return family
+
+
 def euler_of_complex(k: Z2Complex) -> int:
     return euler_characteristic(k.simplices())
 
